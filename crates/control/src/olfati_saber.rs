@@ -12,12 +12,11 @@
 //! controller interface commands velocities, the acceleration is integrated
 //! over one control horizon (`v_cmd = v + u·τ`), a standard discretization.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 use swarm_sim::{ControlBatch, ControlContext, SwarmController};
 
 /// Tuning parameters of the Olfati-Saber controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OlfatiSaberParams {
     /// Desired inter-agent distance `d` (m).
     pub d: f64,
@@ -120,7 +119,7 @@ fn phi(z: f64, a: f64, b: f64) -> f64 {
 }
 
 /// The Olfati-Saber flocking controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OlfatiSaberController {
     params: OlfatiSaberParams,
 }

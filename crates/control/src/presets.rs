@@ -50,8 +50,9 @@ pub fn aggressive() -> VasarhelyiParams {
 mod tests {
     use super::*;
     use crate::VasarhelyiController;
+    use swarm_math::Vec3;
     use swarm_sim::mission::MissionSpec;
-    use swarm_sim::Simulation;
+    use swarm_sim::{ControlContext, Simulation, SwarmController};
 
     /// Mean mission VDO over a few clean missions (collisions excluded).
     fn mean_vdo(params: VasarhelyiParams, n: usize) -> (f64, usize) {
@@ -100,26 +101,27 @@ mod tests {
         assert_ne!(hardened(), aggressive());
     }
 
+    /// Wraps a controller but exposes only its scalar entry point, so the
+    /// mission loop's batch call takes the trait's default per-lane loop.
+    struct ScalarOnly(VasarhelyiController);
+
+    impl SwarmController for ScalarOnly {
+        fn desired_velocity(&self, ctx: &ControlContext<'_>) -> Vec3 {
+            self.0.desired_velocity(ctx)
+        }
+    }
+
     #[test]
-    fn every_preset_is_layout_invariant() {
-        use swarm_sim::{SimConfig, StateLayout};
-        // The batched (SoA) mission path must reproduce the scalar record
-        // bit-for-bit regardless of which parameter regime is flying.
+    fn every_preset_kernel_records_the_scalar_mission() {
+        // The overriding batch kernel must fly the exact mission the scalar
+        // entry point flies, whichever parameter regime is in use.
         for params in [paper(), hardened(), aggressive()] {
             let mut spec = MissionSpec::paper_delivery(6, 42);
             spec.duration = 15.0;
             let controller = VasarhelyiController::new(params);
-            let aos = Simulation::new(spec.clone(), controller)
-                .unwrap()
-                .with_config(SimConfig { layout: StateLayout::ForceAos, ..Default::default() })
-                .run(None)
-                .unwrap();
-            let soa = Simulation::new(spec, controller)
-                .unwrap()
-                .with_config(SimConfig { layout: StateLayout::ForceSoa, ..Default::default() })
-                .run(None)
-                .unwrap();
-            assert_eq!(aos.record, soa.record);
+            let kernel = Simulation::new(spec.clone(), controller).unwrap().run(None).unwrap();
+            let scalar = Simulation::new(spec, ScalarOnly(controller)).unwrap().run(None).unwrap();
+            assert_eq!(kernel.record, scalar.record, "{params:?}");
         }
     }
 }

@@ -6,12 +6,11 @@
 //! generalization experiments: the SwarmFuzz pipeline makes no assumption
 //! beyond the shared three goals, so it must work here too.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 use swarm_sim::{ControlBatch, ControlContext, SwarmController};
 
 /// Tuning parameters of the Reynolds controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReynoldsParams {
     /// Perception radius: neighbors beyond this are ignored (m).
     pub perception: f64,
@@ -53,7 +52,7 @@ impl Default for ReynoldsParams {
 }
 
 /// The Reynolds boids controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReynoldsController {
     params: ReynoldsParams,
 }

@@ -23,7 +23,6 @@
 //! Vulnerability Graph decides whether a neighbor's spoofed displacement
 //! drags a drone toward the obstacle).
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 use swarm_sim::{ControlBatch, ControlContext, SwarmController};
 
@@ -34,7 +33,7 @@ use crate::braking::braking_curve;
 /// Defaults are tuned for the reproduction's mission scale (233.5 m corridor,
 /// 5–15 drones starting in a 50 m box, equilibrium spacing ≈ 10–15 m) such
 /// that unattacked missions are collision-free, mirroring the paper's setup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VasarhelyiParams {
     /// Preferred flocking speed toward the destination (m/s).
     pub v_flock: f64,
@@ -120,7 +119,7 @@ impl Default for VasarhelyiParams {
 }
 
 /// The per-goal decomposition of one control command.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VelocityTerms {
     /// Goal 1 (mission-driven): self-propulsion toward the destination.
     pub self_propulsion: Vec3,
@@ -155,7 +154,7 @@ impl VelocityTerms {
 /// Stateless: the command is a pure function of the [`ControlContext`], which
 /// is what allows the fuzzer's SVG construction to replay controller
 /// responses on recorded mission snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VasarhelyiController {
     params: VasarhelyiParams,
 }
@@ -265,7 +264,7 @@ impl SwarmController for VasarhelyiController {
         assert_eq!(out.len(), batch.lanes.len(), "output must have one slot per lane");
         // One tight loop over the CSR lanes, evaluating the exact scalar
         // control law per lane — bit-identity to per-drone dispatch is
-        // load-bearing (see tests/soa_equivalence.rs).
+        // load-bearing (see the kernel-vs-scalar test in `presets`).
         for (lane, slot) in batch.lanes.iter().zip(out) {
             *slot = self.compute_terms(&batch.context(lane)).total;
         }

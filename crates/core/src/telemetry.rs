@@ -123,17 +123,11 @@ pub enum Counter {
     /// Physics steps *not* re-simulated thanks to forking (the prefix length
     /// of every fork hit).
     PrefixStepsSaved,
-    /// Finite-difference probe pairs simulated in lockstep through the
-    /// batch runner (two missions each).
-    BatchedPairs,
-    /// Batched second-probe missions whose result was discarded because the
-    /// first probe of the pair already found a collision.
-    BatchedDiscards,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 16] = [
         Counter::MissionsRun,
         Counter::Evaluations,
         Counter::SpvFound,
@@ -150,8 +144,6 @@ impl Counter {
         Counter::ForkHits,
         Counter::ForkMisses,
         Counter::PrefixStepsSaved,
-        Counter::BatchedPairs,
-        Counter::BatchedDiscards,
     ];
 
     /// Stable snake_case name used in reports.
@@ -173,8 +165,6 @@ impl Counter {
             Counter::ForkHits => "fork_hits",
             Counter::ForkMisses => "fork_misses",
             Counter::PrefixStepsSaved => "prefix_steps_saved",
-            Counter::BatchedPairs => "batched_pairs",
-            Counter::BatchedDiscards => "batched_discards",
         }
     }
 }
@@ -465,10 +455,11 @@ pub struct TelemetryReport {
 }
 
 fn push_json_f64(out: &mut String, x: f64) {
-    // JSON has no NaN/Infinity; clamp to null-free 0 (never produced by the
-    // snapshot path, but the writer must not emit invalid JSON regardless).
+    // Shortest round-trip form, as the store codec writes floats. JSON has
+    // no NaN/Infinity; clamp to null-free 0 (never produced by the snapshot
+    // path, but the writer must not emit invalid JSON regardless).
     if x.is_finite() {
-        out.push_str(&format!("{x:.1}"));
+        out.push_str(&format!("{x}"));
     } else {
         out.push('0');
     }
@@ -688,5 +679,31 @@ mod tests {
         let summary = report.summary();
         assert!(summary.contains("missions_run"));
         assert!(summary.contains("worker 1"));
+    }
+
+    #[test]
+    fn json_floats_round_trip_bit_exactly() {
+        use crate::store::{parse_json, Json};
+
+        // 1 ns over 30 spans: a phase mean of 1/30 ns, far below the 0.1
+        // resolution a fixed one-decimal format would keep.
+        let t = Telemetry::enabled(1);
+        t.record_phase_ns(Phase::Baseline, 1);
+        for _ in 0..29 {
+            t.record_phase_ns(Phase::Baseline, 0);
+        }
+        let report = t.snapshot().unwrap();
+        let mean = report.phase("baseline").unwrap().mean_ns;
+        assert!(mean > 0.0 && mean < 0.1, "mean {mean}");
+
+        let json = parse_json(&report.to_json()).expect("telemetry JSON parses");
+        let Some(Json::Arr(phases)) = json.get("phases") else { panic!("phases array") };
+        let parsed = phases
+            .iter()
+            .find(|p| p.get("name").and_then(Json::str) == Some("baseline"))
+            .and_then(|p| p.get("mean_ns"))
+            .and_then(Json::f64)
+            .expect("baseline mean_ns");
+        assert_eq!(parsed.to_bits(), mean.to_bits());
     }
 }

@@ -183,9 +183,13 @@ fn decode_status(j: &Json) -> Result<JobStatus, String> {
 // Server side
 // ---------------------------------------------------------------------------
 
+/// Writes `line` and its newline in one `write_all`, so an unbuffered
+/// transport sends each protocol line as one segment.
 fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    writer.write_all(&buf)?;
     writer.flush()
 }
 
@@ -501,6 +505,60 @@ mod tests {
 
     fn spec() -> CampaignSpec {
         CampaignSpec::new(CampaignConfig::paper_grid(2, 7))
+    }
+
+    /// A transport that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_request_line_is_one_write() {
+        let mut out = CountingWriter::default();
+        let msgs = [ClientMsg::Status { job: 5 }, ClientMsg::Watch];
+        let mut client = Client::new(io::empty(), &mut out);
+        for msg in &msgs {
+            client.send(msg).expect("in-memory write");
+        }
+        let expected: String = msgs.iter().map(|m| m.encode() + "\n").collect();
+        assert_eq!(out.writes, msgs.len());
+        assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+    }
+
+    #[test]
+    fn each_reply_line_is_one_write() {
+        use crate::server::{in_process_factory, ExecutorOptions, ServerConfig};
+        use crate::Telemetry;
+        use swarm_control::{VasarhelyiController, VasarhelyiParams};
+
+        let telemetry = Telemetry::off();
+        let controller = VasarhelyiController::new(VasarhelyiParams::default());
+        let server = CampaignServer::start(
+            ServerConfig { workers: 1, queue_depth: 1, journal_dir: None },
+            in_process_factory(controller, ExecutorOptions::default(), telemetry.clone()),
+            telemetry,
+        );
+        let requests = "not json\n{\"msg\":\"status\",\"job\":99}\n";
+        let mut out = CountingWriter::default();
+        serve_connection(&server, requests.as_bytes(), &mut out).expect("in-memory transport");
+        server.shutdown();
+        let replies = String::from_utf8(out.bytes).unwrap();
+        assert_eq!(replies.lines().count(), 2, "{replies}");
+        assert_eq!(out.writes, 2, "one write per reply line");
     }
 
     #[test]

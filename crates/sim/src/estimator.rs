@@ -8,11 +8,10 @@
 //! is exactly the innovation monitor of `swarmfuzz::defense` acting on the
 //! estimate instead of raising an alarm.
 
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 
 /// Gains and gating for the α-β tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorConfig {
     /// Position correction gain α ∈ (0, 1].
     pub alpha: f64,
@@ -31,7 +30,7 @@ impl Default for EstimatorConfig {
 }
 
 /// An α-β position/velocity tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaBeta {
     config: EstimatorConfig,
     position: Vec3,
@@ -101,9 +100,8 @@ impl AlphaBeta {
     /// Feeds one measurement per tracker in fixed index order, writing the
     /// filtered position estimates into `out`.
     ///
-    /// This is the column-sweep companion to [`AlphaBeta::update`] for
-    /// batched (structure-of-arrays) stepping: each lane runs the exact
-    /// scalar update, so results are bit-identical to per-tracker calls.
+    /// Each lane runs the exact scalar [`AlphaBeta::update`], so results are
+    /// bit-identical to per-tracker calls.
     ///
     /// # Panics
     ///

@@ -13,11 +13,10 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use swarm_math::Vec3;
 
 /// Configuration of the GPS receiver model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsConfig {
     /// Sampling rate in Hz (SwarmLab default: 100).
     pub rate_hz: f64,
@@ -44,9 +43,7 @@ impl GpsConfig {
         1.0 / self.rate_hz
     }
 
-    /// `true` when sampling never draws from the noise RNG — the condition
-    /// under which the SoA GPS kernel may fill whole fix columns without
-    /// consulting per-drone receiver state.
+    /// `true` when sampling never draws from the noise RNG.
     pub fn is_noise_free(&self) -> bool {
         // Written via a helper so NaN stds (rejected by validation anyway)
         // keep counting as noise-free, exactly as `!(std > 0.0)` would.
@@ -56,7 +53,7 @@ impl GpsConfig {
 }
 
 /// A GPS fix: position and velocity as perceived by the receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GpsFix {
     /// Perceived position (true + noise + spoofing offset).
     pub position: Vec3,
@@ -108,25 +105,12 @@ impl GpsReceiver {
     pub fn fix(&self) -> Option<GpsFix> {
         self.initialized.then_some(self.last_fix)
     }
-
-    /// The raw fix state (last fix, initialized flag) — used by the SoA
-    /// column store to load/restore receiver state losslessly.
-    pub(crate) fn fix_state(&self) -> (GpsFix, bool) {
-        (self.last_fix, self.initialized)
-    }
-
-    /// Restores the raw fix state captured by [`GpsReceiver::fix_state`].
-    pub(crate) fn restore_fix_state(&mut self, fix: GpsFix, initialized: bool) {
-        self.last_fix = fix;
-        self.initialized = initialized;
-    }
 }
 
-/// The measurement law shared by the per-receiver scalar path
-/// ([`GpsReceiver::sample`]) and the SoA column kernel: one expression tree,
-/// so the two paths cannot drift apart bit-wise. Noise draws are guarded by
-/// strict `> 0.0` comparisons so a zero-noise config consumes no RNG state.
-pub(crate) fn sample_fix(
+/// The measurement law of [`GpsReceiver::sample`]. Noise draws are guarded
+/// by strict `> 0.0` comparisons so a zero-noise config consumes no RNG
+/// state.
+fn sample_fix(
     config: &GpsConfig,
     true_position: Vec3,
     true_velocity: Vec3,
@@ -248,8 +232,7 @@ mod tests {
 
     #[test]
     fn noise_free_predicate_matches_rng_consumption() {
-        // The SoA fast path is admissible exactly when sampling leaves the
-        // RNG untouched; the predicate must agree with `sample`'s guards,
+        // The predicate must agree with `sample`'s guards,
         // including for NaN stds (which the `> 0.0` guards treat as no noise).
         for (p, v, free) in [
             (0.0, 0.0, true),

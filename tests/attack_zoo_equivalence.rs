@@ -1,17 +1,11 @@
 //! Differential gate for the trait-based attack-model zoo.
 //!
-//! The refactor of `swarm_sim::spoof` into `AttackModel` trait objects is
-//! only admissible because the paper's attack is *bit-identical* through
-//! either path. This suite pins that claim at three levels:
-//!
-//! * record level — a mission attacked by the legacy [`SpoofingAttack`]
-//!   equals one attacked by [`AttackSpec::Constant`] over randomized
-//!   `(swarm size, seed, window)` cases, across all three spatial-grid
-//!   policies;
-//! * fuzz-report level — [`Fuzzer::with_constant_via_trait`] on vs off,
-//!   with snapshot-and-fork execution on vs off;
-//! * campaign-report level — `CampaignRunOptions::constant_via_trait` on vs
-//!   off across worker counts, with and without snapshots.
+//! Every attack runs through `AttackModel` trait objects. The paper's
+//! attack is pinned at record level: a mission attacked by the concrete
+//! [`SpoofingAttack`] equals one attacked by [`AttackSpec::Constant`] over
+//! randomized `(swarm size, seed, window)` cases, across all three
+//! spatial-grid policies. Fuzz reports, campaign reports and journals of
+//! constant-offset campaigns are pinned by `tests/goldens.rs`.
 //!
 //! Plus the per-waveform metamorphic oracles: a zero-amplitude attack of
 //! *any* class is indistinguishable from no attack at all; flipping the
@@ -28,10 +22,7 @@ use swarm_sim::spoof::{
 use swarm_sim::{SimConfig, Simulation, SpatialPolicy};
 use swarm_testkit::gens::{f64_in, one_of, u64_in, usize_in, zip2, zip3, zip4};
 use swarm_testkit::{cases, check_budgeted, tk_ensure, Gen};
-use swarmfuzz::campaign::{
-    run_campaign_with_options, CampaignConfig, CampaignRunOptions, SwarmConfig,
-};
-use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry};
+use swarmfuzz::{Fuzzer, FuzzerConfig};
 
 fn controller() -> VasarhelyiController {
     VasarhelyiController::new(VasarhelyiParams::default())
@@ -340,39 +331,8 @@ fn circular_at_omega_zero_is_identical_to_the_constant_offset() {
 }
 
 // ---------------------------------------------------------------------------
-// Level 2: fuzz-report bit-identity, trait path vs legacy path.
+// Fuzz-report determinism of the shaped search paths.
 // ---------------------------------------------------------------------------
-
-fn fuzzer_with(budget: usize, snapshots: bool, via_trait: bool) -> Fuzzer<VasarhelyiController> {
-    let config = FuzzerConfig { eval_budget: budget, ..FuzzerConfig::swarmfuzz(10.0) };
-    Fuzzer::new(controller(), config).with_snapshots(snapshots).with_constant_via_trait(via_trait)
-}
-
-#[test]
-fn fuzz_reports_are_bit_identical_trait_vs_legacy_across_snapshots() {
-    // Whole-pipeline differential: the constant-offset campaign evaluated
-    // through AttackSpec dispatch must reproduce the legacy path's report
-    // exactly, with and without snapshot-and-fork execution.
-    let gen = zip2(&u64_in(0..=50), &one_of(vec![2usize, 5, 20]));
-    check_budgeted(
-        "attack_zoo_fuzz_report_toggle",
-        (cases() / 16).max(6),
-        &gen,
-        |&(seed, budget)| {
-            let spec = MissionSpec::paper_delivery(5, seed);
-            let legacy = fuzzer_with(budget, false, false).fuzz(&spec);
-            for (snapshots, via_trait) in [(false, true), (true, false), (true, true)] {
-                let other = fuzzer_with(budget, snapshots, via_trait).fuzz(&spec);
-                tk_ensure!(
-                    format!("{legacy:?}") == format!("{other:?}"),
-                    "trait/snapshot toggle changed the fuzz result \
-                     (seed {seed}, budget {budget}, snapshots {snapshots}, via_trait {via_trait})"
-                );
-            }
-            Ok(())
-        },
-    );
-}
 
 #[test]
 fn zoo_fuzz_reports_are_bit_identical_snapshots_on_vs_off() {
@@ -400,49 +360,4 @@ fn zoo_fuzz_reports_are_bit_identical_snapshots_on_vs_off() {
             Ok(())
         },
     );
-}
-
-// ---------------------------------------------------------------------------
-// Level 3: campaign-report bit-identity across worker counts.
-// ---------------------------------------------------------------------------
-
-fn tiny_campaign(workers: usize) -> CampaignConfig {
-    CampaignConfig {
-        configs: vec![
-            SwarmConfig { swarm_size: 3, deviation: 5.0 },
-            SwarmConfig { swarm_size: 5, deviation: 10.0 },
-        ],
-        missions_per_config: 2,
-        base_seed: 21,
-        workers,
-    }
-}
-
-#[test]
-fn campaign_reports_are_bit_identical_trait_vs_legacy_across_workers() {
-    let make = |deviation: f64| {
-        let config = FuzzerConfig { eval_budget: 4, ..FuzzerConfig::swarmfuzz(deviation) };
-        Fuzzer::new(controller(), config)
-    };
-    let run = |workers: usize, snapshot: bool, constant_via_trait: bool| {
-        let options = CampaignRunOptions { snapshot, constant_via_trait, ..Default::default() };
-        run_campaign_with_options(&tiny_campaign(workers), make, &Telemetry::off(), &options)
-            .expect("campaign must run")
-    };
-    let reference = run(1, false, false);
-    assert_eq!(reference.missions.len(), 4);
-    for workers in [1usize, 4] {
-        for snapshot in [false, true] {
-            assert_eq!(
-                reference,
-                run(workers, snapshot, true),
-                "workers={workers}, snapshot={snapshot}, constant via trait"
-            );
-            assert_eq!(
-                reference,
-                run(workers, snapshot, false),
-                "workers={workers}, snapshot={snapshot}, legacy path"
-            );
-        }
-    }
 }

@@ -4,7 +4,7 @@
 //! `run_scheduled` + `InProcessExecutor` path the multi-tenant
 //! [`CampaignServer`] drives. That refactor is only admissible because it is
 //! *bit-identical*: this suite pins served reports against direct runs
-//! across the worker × snapshot × batch matrix, through shard-journal resume
+//! across the worker × snapshot matrix, through shard-journal resume
 //! (instant, partial, and mid-shutdown), through panic quarantine on both
 //! paths, and end-to-end over the TCP wire protocol.
 
@@ -102,18 +102,15 @@ fn serve_report(
 fn served_reports_match_direct_runs_across_workers_and_toggles() {
     let spec = tiny_spec(21);
     for snapshot in [true, false] {
-        for batch in [true, false] {
-            let direct =
-                direct_report(&spec, &CampaignRunOptions { snapshot, batch, ..Default::default() });
-            assert_eq!(direct.missions.len() + direct.failures.len(), 4);
-            for workers in [1usize, 4] {
-                let options = ExecutorOptions { snapshot, batch, ..Default::default() };
-                let served = serve_report(&spec, workers, options, None);
-                assert_eq!(
-                    served, direct,
-                    "served report diverged (workers={workers}, snapshot={snapshot}, batch={batch})"
-                );
-            }
+        let direct = direct_report(&spec, &CampaignRunOptions { snapshot, ..Default::default() });
+        assert_eq!(direct.missions.len() + direct.failures.len(), 4);
+        for workers in [1usize, 4] {
+            let options = ExecutorOptions { snapshot, ..Default::default() };
+            let served = serve_report(&spec, workers, options, None);
+            assert_eq!(
+                served, direct,
+                "served report diverged (workers={workers}, snapshot={snapshot})"
+            );
         }
     }
 }
