@@ -764,7 +764,9 @@ pub struct JobStatus {
 struct JobState {
     tenant: String,
     fingerprint: String,
-    executor: Arc<dyn MissionExecutor>,
+    /// `None` once the job is done or failed: releasing it frees the
+    /// executor's snapshot cache while the job's status and report remain.
+    executor: Option<Arc<dyn MissionExecutor>>,
     total: usize,
     rows: Vec<JournalRow>,
     in_flight: usize,
@@ -951,7 +953,7 @@ impl CampaignServer {
             _ => None,
         };
 
-        let executor = (self.inner.factory)(spec);
+        let executor = (!pending.is_empty()).then(|| (self.inner.factory)(spec));
         let job = state.next_job;
         state.next_job += 1;
         let total = grid_jobs.len();
@@ -1155,32 +1157,48 @@ fn worker_loop(inner: &Inner, worker: usize) {
             continue;
         };
         let executor = match state.jobs.get_mut(&job) {
-            Some(js) => {
-                js.in_flight += 1;
-                if js.phase == JobPhase::Queued {
-                    js.phase = JobPhase::Running;
+            Some(JobState { executor: Some(executor), in_flight, phase, .. }) => {
+                *in_flight += 1;
+                if *phase == JobPhase::Queued {
+                    *phase = JobPhase::Running;
                 }
-                Arc::clone(&js.executor)
+                Arc::clone(executor)
             }
-            // A cancelled job may leave a popped mission behind; skip it.
-            None => continue,
+            // A cancelled or finished job may leave a popped mission
+            // behind; skip it.
+            _ => continue,
         };
         drop(state);
         let row = executor.execute(&mission);
+        // Drop this worker's reference before taking the lock, and the
+        // job's own reference (if it just finished) after releasing it, so
+        // the executor and its snapshot cache are never freed under the lock.
+        drop(executor);
         state = lock_unpoisoned(&inner.state);
-        record_row(inner, &mut state, job, row, worker);
+        if let Some(released) = record_row(inner, &mut state, job, row, worker) {
+            drop(state);
+            drop(released);
+            state = lock_unpoisoned(&inner.state);
+        }
     }
 }
 
 /// Books one completed mission row: shard-journal append, progress event,
 /// completion detection. Called with the state lock held; notifies the
 /// `done` condvar outside the match so waiters always observe phase
-/// transitions.
-fn record_row(inner: &Inner, state: &mut ServerState, job: u64, row: JournalRow, worker: usize) {
+/// transitions. Returns the job's executor when the job has just finished
+/// or failed, for the caller to drop once it has released the lock.
+fn record_row(
+    inner: &Inner,
+    state: &mut ServerState,
+    job: u64,
+    row: JournalRow,
+    worker: usize,
+) -> Option<Arc<dyn MissionExecutor>> {
     if let JournalRow::Done { result, .. } = &row {
         inner.telemetry.worker_mission_done(worker, result.success, result.evaluations as u64);
     }
-    let Some(js) = state.jobs.get_mut(&job) else { return };
+    let js = state.jobs.get_mut(&job)?;
     js.in_flight = js.in_flight.saturating_sub(1);
     if let Some(journal) = js.journal.as_mut() {
         if let Err(e) = journal.append(&row) {
@@ -1200,13 +1218,15 @@ fn record_row(inner: &Inner, state: &mut ServerState, job: u64, row: JournalRow,
         event.push_str(",\"error\":");
         push_json_string(&mut event, &error);
         event.push('}');
+        let released = js.executor.take();
         emit_event(state, event);
         inner.done.notify_all();
-        return;
+        return released;
     }
     if done == total {
         js.report = Some(report_from_rows(js.rows.clone()));
         js.phase = JobPhase::Done;
+        let released = js.executor.take();
         state.completed += 1;
         let ordinal = state.completed;
         if let Some(js) = state.jobs.get_mut(&job) {
@@ -1217,11 +1237,13 @@ fn record_row(inner: &Inner, state: &mut ServerState, job: u64, row: JournalRow,
         event.push_str(&format!(",\"done\":{done},\"total\":{total}}}"));
         emit_event(state, event);
         inner.done.notify_all();
+        released
     } else {
         let mut event = format!("{{\"msg\":\"progress\",\"job\":{job},\"tenant\":");
         push_json_string(&mut event, &tenant);
         event.push_str(&format!(",\"done\":{done},\"total\":{total}}}"));
         emit_event(state, event);
+        None
     }
 }
 

@@ -6,7 +6,7 @@
 //! * [`Vec2`] / [`Vec3`] — plain-old-data vector algebra used for drone
 //!   positions, velocities and accelerations.
 //! * [`stats`] — descriptive statistics, the empirical CDF used by Fig. 6d of
-//!   the paper, and online min/mean trackers used by the mission recorder.
+//!   the paper, and the online minimum tracker used by the mission recorder.
 //! * [`rng`] — deterministic seed derivation so every simulation, fuzzing
 //!   campaign and benchmark is exactly reproducible from a single `u64` seed.
 //! * [`integrate`] — fixed-step integrators for the drone dynamics models.

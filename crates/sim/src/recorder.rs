@@ -6,14 +6,22 @@
 //! considered as a victim), and (3) the mission duration. §IV-B additionally
 //! needs the time `t_clo` of the smallest average inter-drone distance, where
 //! the SVG is constructed.
+//!
+//! Only the no-attack baseline ever reads `t_clo`, so the per-tick average
+//! inter-drone distance is not computed while recording: it is derived from
+//! the stored positions on first read (O(ticks·n²)) and cached until the
+//! next sample is pushed.
 
-use swarm_math::stats::{OnlineMean, OnlineMin};
+use std::sync::OnceLock;
+
+use swarm_math::stats::OnlineMin;
 use swarm_math::Vec3;
 
+use crate::metrics::mean_inter_distance;
 use crate::{CollisionEvent, DroneId};
 
 /// A full recording of one mission, sampled at the control rate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MissionRecord {
     swarm_size: usize,
     /// Sampling period of the recording in seconds (= control period).
@@ -25,8 +33,9 @@ pub struct MissionRecord {
     velocities: Vec<Vec<Vec3>>,
     /// Per-drone minimum distance to the nearest obstacle surface.
     min_obstacle_distance: Vec<OnlineMin>,
-    /// Average pairwise inter-drone distance per tick.
-    avg_inter_distance: Vec<f64>,
+    /// Average pairwise inter-drone distance per tick, computed from
+    /// `positions` on first read; reset by every `push_sample`.
+    avg_inter_distance: OnceLock<Vec<f64>>,
     /// All collisions, in time order.
     collisions: Vec<CollisionEvent>,
     /// Arrival time per drone, when it reached the destination.
@@ -46,7 +55,7 @@ impl MissionRecord {
             positions: Vec::new(),
             velocities: Vec::new(),
             min_obstacle_distance: vec![OnlineMin::new(); swarm_size],
-            avg_inter_distance: Vec::new(),
+            avg_inter_distance: OnceLock::new(),
             collisions: Vec::new(),
             arrival_time: vec![None; swarm_size],
             duration: 0.0,
@@ -79,13 +88,7 @@ impl MissionRecord {
                 self.min_obstacle_distance[d].observe(dist, time);
             }
         }
-        let mut mean = OnlineMean::new();
-        for i in 0..self.swarm_size {
-            for j in (i + 1)..self.swarm_size {
-                mean.observe(positions[i].distance(positions[j]));
-            }
-        }
-        self.avg_inter_distance.push(mean.mean().unwrap_or(0.0));
+        self.avg_inter_distance = OnceLock::new();
         self.duration = time;
     }
 
@@ -196,16 +199,48 @@ impl MissionRecord {
     /// distance (paper §IV-B). `None` for an empty record.
     pub fn closest_approach(&self) -> Option<(usize, f64)> {
         let (idx, _) = self
-            .avg_inter_distance
+            .avg_inter_distances()
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))?;
         Some((idx, self.times[idx]))
     }
 
-    /// Average inter-drone distance per recorded tick.
+    /// Average inter-drone distance per recorded tick (`0.0` for a swarm of
+    /// fewer than two drones). Computed from the recorded positions on the
+    /// first call, at O(ticks·n²), and cached until the next sample.
     pub fn avg_inter_distances(&self) -> &[f64] {
-        &self.avg_inter_distance
+        self.avg_inter_distance.get_or_init(|| {
+            self.positions.iter().map(|p| mean_inter_distance(p).unwrap_or(0.0)).collect()
+        })
+    }
+}
+
+/// Compares every recorded field; the cached inter-drone averages are a pure
+/// function of the positions and so are left out.
+impl PartialEq for MissionRecord {
+    fn eq(&self, other: &Self) -> bool {
+        let MissionRecord {
+            swarm_size,
+            sample_dt,
+            times,
+            positions,
+            velocities,
+            min_obstacle_distance,
+            avg_inter_distance: _,
+            collisions,
+            arrival_time,
+            duration,
+        } = self;
+        *swarm_size == other.swarm_size
+            && *sample_dt == other.sample_dt
+            && *times == other.times
+            && *positions == other.positions
+            && *velocities == other.velocities
+            && *min_obstacle_distance == other.min_obstacle_distance
+            && *collisions == other.collisions
+            && *arrival_time == other.arrival_time
+            && *duration == other.duration
     }
 }
 
@@ -292,6 +327,72 @@ mod tests {
         assert_eq!(r.closest_approach(), None);
         assert_eq!(r.vdo(DroneId(0)), None);
         assert_eq!(r.mission_vdo(), None);
+    }
+
+    /// Deterministic scattered positions for the lazy-average tests.
+    fn scattered_record(n: usize, ticks: usize) -> MissionRecord {
+        let mut r = MissionRecord::new(n, 0.1);
+        for t in 0..ticks {
+            let pos: Vec<Vec3> = (0..n)
+                .map(|i| {
+                    let k = (i * 7 + t * 3) as f64;
+                    Vec3::new(k.sin() * 13.0 + i as f64, (k * 0.37).cos() * 9.0, 0.5 * t as f64)
+                })
+                .collect();
+            r.push_sample(t as f64 * 0.1, &pos, &vec![Vec3::ZERO; n], &vec![f64::INFINITY; n]);
+        }
+        r
+    }
+
+    #[test]
+    fn avg_inter_distances_match_metrics_reference() {
+        let r = scattered_record(9, 6);
+        let avg = r.avg_inter_distances();
+        assert_eq!(avg.len(), 6);
+        for (tick, &a) in avg.iter().enumerate() {
+            let reference = mean_inter_distance(r.positions_at(tick)).unwrap();
+            assert_eq!(a.to_bits(), reference.to_bits(), "tick {tick}");
+        }
+    }
+
+    #[test]
+    fn reading_mid_recording_does_not_go_stale() {
+        let full = scattered_record(6, 8);
+        let mut partial = MissionRecord::new(6, 0.1);
+        for tick in 0..8 {
+            partial.push_sample(
+                full.times()[tick],
+                full.positions_at(tick),
+                full.velocities_at(tick),
+                &[f64::INFINITY; 6],
+            );
+            if tick == 3 {
+                assert_eq!(partial.avg_inter_distances(), &full.avg_inter_distances()[..4]);
+            }
+        }
+        let never_read = scattered_record(6, 8);
+        assert_eq!(partial.avg_inter_distances(), never_read.avg_inter_distances());
+        assert_eq!(partial.closest_approach(), never_read.closest_approach());
+    }
+
+    #[test]
+    fn eq_and_clone_ignore_the_cache() {
+        let cold = scattered_record(5, 4);
+        let warm = scattered_record(5, 4);
+        let _ = warm.avg_inter_distances();
+        assert_eq!(cold, warm);
+        assert_eq!(warm, cold);
+        let (cold_clone, warm_clone) = (cold.clone(), warm.clone());
+        assert_eq!(cold_clone, warm_clone);
+        assert_eq!(cold_clone.avg_inter_distances(), warm_clone.avg_inter_distances());
+        assert_eq!(warm_clone.avg_inter_distances(), cold.avg_inter_distances());
+    }
+
+    #[test]
+    fn single_drone_average_is_zero() {
+        let r = scattered_record(1, 3);
+        assert_eq!(r.avg_inter_distances(), &[0.0; 3]);
+        assert_eq!(r.closest_approach(), Some((0, 0.0)));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_testkit::gens::{u64_in, usize_in, zip4};
@@ -23,10 +25,11 @@ use swarmfuzz::campaign::{
 use swarmfuzz::server::{
     in_process_factory, merge_shard_rows, shard_path, ExecutorFactory, ExecutorOptions,
 };
+use swarmfuzz::store::JournalRow;
 use swarmfuzz::wire::{serve, Client, WireError};
 use swarmfuzz::{
     CampaignServer, CampaignSpec, ExecutionProfile, Fuzzer, FuzzerConfig, InProcessExecutor,
-    JobPhase, ServerConfig, Telemetry, Trace,
+    JobPhase, MissionExecutor, MissionJob, ServerConfig, Telemetry, Trace,
 };
 
 fn controller() -> VasarhelyiController {
@@ -308,6 +311,58 @@ fn panicking_missions_are_quarantined_on_the_server_path() {
     let report = server.wait(job).expect("clean job completes");
     assert_eq!(report.failures.len(), 0);
     assert_eq!(report.missions.len(), 2);
+    server.shutdown();
+}
+
+/// Delegates to the standard executor and raises `dropped` when freed.
+struct DropFlagExecutor {
+    inner: Arc<dyn MissionExecutor>,
+    dropped: Arc<AtomicBool>,
+}
+
+impl MissionExecutor for DropFlagExecutor {
+    fn execute(&self, job: &MissionJob) -> JournalRow {
+        self.inner.execute(job)
+    }
+}
+
+impl Drop for DropFlagExecutor {
+    fn drop(&mut self) {
+        self.dropped.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn finished_jobs_release_their_executor() {
+    let dropped = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&dropped);
+    let standard = in_process_factory(controller(), ExecutorOptions::default(), Telemetry::off());
+    let factory: ExecutorFactory = Box::new(move |spec: &CampaignSpec| {
+        Arc::new(DropFlagExecutor { inner: standard(spec), dropped: Arc::clone(&flag) })
+    });
+    let server = CampaignServer::start(
+        ServerConfig { workers: 2, queue_depth: 8, journal_dir: None },
+        factory,
+        Telemetry::off(),
+    );
+    server.register_tenant("tenant", 1).expect("register tenant");
+    let spec = tiny_spec(5);
+    let job = server.submit("tenant", &spec).expect("submit");
+    let report = server.wait(job).expect("job completes");
+
+    // The last worker frees the executor just after releasing the lock.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !dropped.load(Ordering::SeqCst) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(dropped.load(Ordering::SeqCst), "a finished job must release its executor");
+
+    let status = server.status(job).expect("status of a finished job");
+    assert_eq!(status.phase, JobPhase::Done);
+    assert_eq!((status.done, status.total), (4, 4));
+    assert_eq!(server.try_report(job).expect("report after release"), report);
+    assert_eq!(server.rows(job).expect("rows after release").len(), 4);
+    assert_eq!(report, direct_report(&spec, &CampaignRunOptions::default()));
     server.shutdown();
 }
 
