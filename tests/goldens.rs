@@ -15,7 +15,10 @@
 //!   forking on and off (which must agree);
 //! * campaign reports, journal bytes and trace NDJSON (sequence-sorted per
 //!   snapshot mode, and canonical) for a constant-only and a four-class
-//!   campaign at 1 and 4 workers, snapshots on and off.
+//!   campaign at 1 and 4 workers, snapshots on and off;
+//! * wire bytes: every client request, campaign specs, every reply kind
+//!   `serve_connection` writes, every server event, the Chrome trace export
+//!   and the journal header.
 //!
 //! A mismatch prints the full table of fresh fingerprints in source form.
 //! Replace a committed value only together with a deliberate, documented
@@ -32,17 +35,27 @@ use swarm_math::Vec3;
 use swarm_sim::dynamics::Quadrotor;
 use swarm_sim::mission::MissionSpec;
 use swarm_sim::recorder::MissionRecord;
-use swarm_sim::spoof::{AttackModel, AttackSpec, SpoofDirection, Waveform, WaveformSet};
+use swarm_sim::spoof::{
+    AttackModel, AttackSpec, SpoofDirection, Waveform, WaveformKind, WaveformSet,
+};
 use swarm_sim::{
     CollisionKind, DroneId, RunStats, SimConfig, SimObserver, Simulation, SpatialPolicy,
     SwarmController,
 };
 use swarmfuzz::campaign::{
     run_campaign_traced, CampaignConfig, CampaignReport, CampaignRunOptions, JournalSpec,
-    SwarmConfig,
+    MissionFailure, MissionResult, SwarmConfig,
 };
-use swarmfuzz::trace::{canonical_ndjson, encode_record, sorted_ndjson, RingSink};
-use swarmfuzz::{Fuzzer, FuzzerConfig, Telemetry, Trace};
+use swarmfuzz::server::{shard_path, ExecutorFactory};
+use swarmfuzz::store::JournalRow;
+use swarmfuzz::trace::{
+    canonical_ndjson, chrome_trace, encode_record, parse_ndjson, sorted_ndjson, RingSink,
+};
+use swarmfuzz::wire::{serve_connection, ClientMsg};
+use swarmfuzz::{
+    CampaignServer, CampaignSpec, Fuzzer, FuzzerConfig, FuzzerVariant, MissionExecutor, MissionJob,
+    Seed, ServerConfig, SpvFinding, Telemetry, Trace,
+};
 
 // ---------------------------------------------------------------------------
 // Fingerprinting
@@ -535,6 +548,258 @@ fn campaign_outputs_match_goldens() {
 }
 
 // ---------------------------------------------------------------------------
+// Wire messages, server events and exports
+// ---------------------------------------------------------------------------
+
+/// A tenant id exercising every JSON string escape class.
+const HOSTILE_TENANT: &str = "team \"q\" back\\slash bell\u{7} \u{1f} λ→∞";
+
+/// Base seed that marks a spec whose single mission sabotages its own shard
+/// journal (see [`FakeExecutor`]).
+const POISON_SEED: u64 = 666;
+
+/// Answers every job with a fixed row (a finding for even indices, a
+/// quarantined failure for odd ones) as soon as `gate` is free. With
+/// `poison` set, it first grows that shard journal to the filesystem's
+/// file-size limit, so the server's append fails with `EFBIG` and the job
+/// fails.
+struct FakeExecutor {
+    gate: Arc<Mutex<()>>,
+    poison: Option<PathBuf>,
+}
+
+impl MissionExecutor for FakeExecutor {
+    fn execute(&self, job: &MissionJob) -> JournalRow {
+        drop(self.gate.lock());
+        if let Some(path) = &self.poison {
+            let file = std::fs::OpenOptions::new().write(true).open(path).expect("shard exists");
+            let (mut lo, mut hi) = (0u64, i64::MAX as u64);
+            while lo < hi {
+                let mid = lo + (hi - lo).div_ceil(2);
+                if file.set_len(mid).is_ok() {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            file.set_len(lo).expect("largest accepted length");
+        }
+        if job.index % 2 == 1 {
+            return JournalRow::Failed(MissionFailure {
+                config: job.config,
+                index: job.index,
+                error: format!("sim: \"boom\" at\n{}", job.index),
+                retries: 1,
+            });
+        }
+        let seed = Seed {
+            target: DroneId(1),
+            victim: DroneId(2),
+            direction: SpoofDirection::Right,
+            influence: 0.1 + 0.2,
+            victim_vdo: 2.5,
+            waveform: WaveformKind::Constant,
+        };
+        JournalRow::Done {
+            index: job.index,
+            result: MissionResult {
+                config: job.config,
+                mission_seed: u64::MAX - job.index as u64,
+                vdo: 1.0 / 3.0,
+                success: true,
+                finding: Some(SpvFinding {
+                    seed,
+                    start: 12.625,
+                    duration: 7.3,
+                    deviation: job.config.deviation,
+                    actual_victim: DroneId(2),
+                    collision_time: 39.900000000000006,
+                    waveform: Waveform::Constant,
+                }),
+                evaluations: 17,
+                seeds_tried: 3,
+            },
+        }
+    }
+}
+
+fn wire_spec(budget: Option<usize>) -> CampaignSpec {
+    let mut spec = CampaignSpec::new(CampaignConfig {
+        configs: vec![
+            SwarmConfig { swarm_size: 5, deviation: 7.25 },
+            SwarmConfig { swarm_size: 10, deviation: 0.1 },
+        ],
+        missions_per_config: 2,
+        base_seed: 0xC0FFEE,
+        workers: 3,
+    });
+    spec.variant = FuzzerVariant::GFuzz;
+    spec.attacks = WaveformSet::all();
+    spec.eval_budget = budget;
+    spec
+}
+
+/// Runs one connection over in-memory buffers and returns everything the
+/// server wrote back.
+fn serve_lines(server: &CampaignServer, requests: &str) -> String {
+    let mut out = Vec::new();
+    serve_connection(server, requests.as_bytes(), &mut out).expect("in-memory transport");
+    String::from_utf8(out).expect("replies are UTF-8")
+}
+
+/// A transport that forwards each written line to a channel and fails every
+/// write once a `job-done` line has gone through, ending a `watch` stream.
+struct LineTap {
+    lines: std::sync::mpsc::Sender<String>,
+    closed: bool,
+}
+
+impl std::io::Write for LineTap {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.closed {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        let text = String::from_utf8_lossy(buf).into_owned();
+        self.closed = text.starts_with("{\"msg\":\"job-done\"");
+        let _ = self.lines.send(text);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn wire_outputs_match_goldens() {
+    let mut actual = Vec::new();
+
+    // Client requests and campaign specs.
+    let spec = wire_spec(Some(9));
+    for (name, msg) in [
+        (
+            "client/submit",
+            ClientMsg::Submit { tenant: HOSTILE_TENANT.into(), weight: 3, spec: spec.clone() },
+        ),
+        ("client/status", ClientMsg::Status { job: u64::MAX }),
+        ("client/results", ClientMsg::Results { job: 4, wait: true }),
+        ("client/watch", ClientMsg::Watch),
+    ] {
+        actual.push((name.to_string(), hash_str(&msg.encode())));
+    }
+    actual.push(("spec/budget".to_string(), hash_str(&spec.encode())));
+    actual.push(("spec/no-budget".to_string(), hash_str(&wire_spec(None).encode())));
+
+    // Replies and events of a server whose jobs run on a fake executor.
+    let dir = std::env::temp_dir().join(format!("swarmfuzz-goldens-wire-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let shard_dir = dir.clone();
+    // Held until the `accepted` reply is written, so it reports no rows done.
+    let gate = Arc::new(Mutex::new(()));
+    let held = gate.lock().expect("gate");
+    let executor_gate = Arc::clone(&gate);
+    let factory: ExecutorFactory = Box::new(move |spec: &CampaignSpec| {
+        let poison = (spec.campaign.base_seed == POISON_SEED)
+            .then(|| shard_path(&shard_dir, &spec.fingerprint(), 0));
+        Arc::new(FakeExecutor { gate: Arc::clone(&executor_gate), poison })
+    });
+    let server = CampaignServer::start(
+        ServerConfig { workers: 1, queue_depth: 8, journal_dir: Some(dir.clone()) },
+        factory,
+        Telemetry::off(),
+    );
+    let events = server.subscribe();
+    let submit = ClientMsg::Submit { tenant: HOSTILE_TENANT.into(), weight: 2, spec };
+    let accepted = serve_lines(&server, &(submit.encode() + "\n"));
+    actual.push(("reply/accepted".to_string(), hash_str(&accepted)));
+    drop(held);
+    for (name, requests) in [
+        ("reply/results", ClientMsg::Results { job: 0, wait: true }.encode() + "\n"),
+        ("reply/status-ordinal", ClientMsg::Status { job: 0 }.encode() + "\n"),
+        ("reply/error-unknown-job", ClientMsg::Status { job: 99 }.encode() + "\n"),
+        ("reply/error-malformed", "not json\n".to_string()),
+    ] {
+        actual.push((name.to_string(), hash_str(&serve_lines(&server, &requests))));
+    }
+
+    let mut poisoned = CampaignSpec::new(CampaignConfig {
+        configs: vec![SwarmConfig { swarm_size: 3, deviation: 2.5 }],
+        missions_per_config: 1,
+        base_seed: POISON_SEED,
+        workers: 1,
+    });
+    poisoned.eval_budget = Some(0);
+    let failed_job = server.submit(HOSTILE_TENANT, &poisoned).expect("submit");
+    assert!(server.wait(failed_job).is_err(), "the sabotaged journal fails its job");
+    let dir_text = dir.display().to_string();
+    let status = serve_lines(&server, &(ClientMsg::Status { job: failed_job }.encode() + "\n"));
+    actual.push(("reply/status-error".to_string(), hash_str(&status.replace(&dir_text, "<dir>"))));
+
+    let mut by_kind: Vec<(String, String)> = Vec::new();
+    loop {
+        let line = events.recv().expect("server event");
+        let last = line.starts_with("{\"msg\":\"job-failed\"");
+        let kind = line.split('"').nth(3).unwrap_or_default().to_string();
+        let line = line.replace(&dir_text, "<dir>") + "\n";
+        match by_kind.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, text)) => text.push_str(&line),
+            None => by_kind.push((kind, line)),
+        }
+        if last {
+            break;
+        }
+    }
+    for (kind, text) in by_kind {
+        actual.push((format!("event/{kind}"), hash_str(&text)));
+    }
+
+    // A watch connection streams one job's events, then ends on the next
+    // write once the transport closes.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let watcher = {
+        let server = server.clone();
+        std::thread::spawn(move || {
+            let request = ClientMsg::Watch.encode() + "\n";
+            serve_connection(&server, request.as_bytes(), LineTap { lines: tx, closed: false })
+        })
+    };
+    let mut stream = rx.recv().expect("watching line");
+    let mut watched = CampaignSpec::new(CampaignConfig {
+        configs: vec![SwarmConfig { swarm_size: 4, deviation: 1.5 }],
+        missions_per_config: 2,
+        base_seed: 5,
+        workers: 1,
+    });
+    watched.eval_budget = Some(1);
+    let job = server.submit(HOSTILE_TENANT, &watched).expect("submit");
+    server.wait(job).expect("watched job completes");
+    while !stream.ends_with("\n") || !stream.lines().last().unwrap_or_default().contains("job-done")
+    {
+        stream.push_str(&rx.recv().expect("watch stream line"));
+    }
+    actual.push(("reply/watch-stream".to_string(), hash_str(&stream)));
+    let job = server.submit(HOSTILE_TENANT, &CampaignSpec::new(CampaignConfig::paper_grid(1, 9)));
+    assert!(watcher.join().expect("watch thread").is_err(), "closed transport ends the stream");
+    server.wait(job.expect("submit")).expect("last job completes");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The Chrome export and the journal header of the constant-only golden
+    // campaign.
+    let path =
+        std::env::temp_dir().join(format!("swarmfuzz-goldens-w-{}.jsonl", std::process::id()));
+    let run = run_campaign(WaveformSet::CONSTANT_ONLY, 5, 1, true, path.clone());
+    let _ = std::fs::remove_file(&path);
+    let records = parse_ndjson(&run.trace).expect("trace parses");
+    actual.push(("export/chrome-trace".to_string(), hash_str(&chrome_trace(&records))));
+    let header = run.journal.lines().next().expect("journal header");
+    actual.push(("export/journal-header".to_string(), hash_str(header)));
+
+    check("wire outputs", &actual, WIRE_GOLDENS);
+}
+
+// ---------------------------------------------------------------------------
 // The committed goldens
 // ---------------------------------------------------------------------------
 
@@ -725,4 +990,26 @@ const CAMPAIGN_GOLDENS: &[(&str, u64)] = &[
     ("zoo/report", 0x46ed21c03116f742),
     ("zoo/journal-sorted", 0x5e98c413972eec23),
     ("zoo/trace-canonical", 0xa0a5975acd42e76a),
+];
+
+const WIRE_GOLDENS: &[(&str, u64)] = &[
+    ("client/submit", 0xec48044a9e4bed4d),
+    ("client/status", 0xcc0d03a449d02c94),
+    ("client/results", 0xbaf18ba0436e9654),
+    ("client/watch", 0x555799395cca902d),
+    ("spec/budget", 0x695b2202bbb26fca),
+    ("spec/no-budget", 0xa44c10f9971696c7),
+    ("reply/accepted", 0xb3743ee3c6786b11),
+    ("reply/results", 0x8fba562d529e8764),
+    ("reply/status-ordinal", 0x496bcc1d3f365e09),
+    ("reply/error-unknown-job", 0x08ad182611b1dac2),
+    ("reply/error-malformed", 0xb9b03489c31bb14a),
+    ("reply/status-error", 0xcd4df4c9cb7631a6),
+    ("event/accepted", 0xce6b2a1f3a91fae3),
+    ("event/progress", 0x3c95027793a72096),
+    ("event/job-done", 0xd9bc89619bbeb033),
+    ("event/job-failed", 0xff2cb1257bf3128a),
+    ("reply/watch-stream", 0x2fa6ca2e941ebf4f),
+    ("export/chrome-trace", 0xdbabf37cdc6167d8),
+    ("export/journal-header", 0x0873e38b12eb957f),
 ];
