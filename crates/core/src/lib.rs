@@ -56,6 +56,7 @@ mod error;
 pub mod executor;
 pub mod exhaustive;
 pub mod fuzzer;
+mod json;
 pub mod minimize;
 pub mod objective;
 pub mod report;

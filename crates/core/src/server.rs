@@ -37,11 +37,9 @@ use swarm_sim::SwarmController;
 use crate::campaign::{report_from_rows, CampaignConfig, CampaignReport, SwarmConfig};
 use crate::executor::{ExecutionProfile, InProcessExecutor, MissionExecutor, MissionJob};
 use crate::fuzzer::{Fuzzer, FuzzerConfig};
+use crate::json::{self, Json, ObjectWriter};
 use crate::snapshot::SnapshotCache;
-use crate::store::{
-    campaign_fingerprint, parse_json, push_field_f64, push_json_string, CampaignJournal,
-    JournalRow, Json, StoreError,
-};
+use crate::store::{campaign_fingerprint, io_err, CampaignJournal, JournalRow, StoreError};
 use crate::telemetry::Telemetry;
 use crate::trace::Trace;
 use crate::FuzzError;
@@ -191,6 +189,9 @@ impl FuzzerVariant {
     }
 }
 
+const SPEC_MAGIC: &str = "swarmfuzz-campaign";
+const SPEC_VERSION: u64 = 1;
+
 /// A self-contained campaign submission: everything a server needs to run
 /// the campaign and fingerprint it identically to a direct
 /// [`crate::campaign::run_campaign`] of the same grid.
@@ -261,30 +262,24 @@ impl CampaignSpec {
     /// order is fixed and floats use shortest-round-trip formatting, so the
     /// encoding is byte-stable: equal specs encode to equal bytes.
     pub fn encode(&self) -> String {
-        let mut out = String::from("{\"spec\":\"swarmfuzz-campaign\",\"version\":1");
-        out.push_str(&format!(
-            ",\"base_seed\":{},\"missions_per_config\":{},\"workers\":{}",
-            self.campaign.base_seed, self.campaign.missions_per_config, self.campaign.workers
-        ));
-        out.push_str(",\"configs\":[");
-        for (i, c) in self.campaign.configs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(|o| self.write_json(o))
+    }
+
+    /// Writes the spec's fields (shared with `crate::wire`, where the spec
+    /// is nested inside a submit message).
+    pub(crate) fn write_json(&self, o: &mut ObjectWriter<'_>) {
+        let c = &self.campaign;
+        o.field("spec", SPEC_MAGIC).field("version", SPEC_VERSION).field("base_seed", c.base_seed);
+        o.field("missions_per_config", c.missions_per_config).field("workers", c.workers);
+        o.array("configs", |a| {
+            for c in &c.configs {
+                a.element(|o| {
+                    o.field("swarm_size", c.swarm_size).field("deviation", c.deviation);
+                });
             }
-            out.push_str(&format!("{{\"swarm_size\":{}", c.swarm_size));
-            push_field_f64(&mut out, "deviation", c.deviation);
-            out.push('}');
-        }
-        out.push_str("],\"variant\":");
-        push_json_string(&mut out, self.variant.name());
-        out.push_str(",\"attacks\":");
-        let classes: Vec<&str> = self.attacks.iter().map(|k| k.name()).collect();
-        push_json_string(&mut out, &classes.join(","));
-        if let Some(budget) = self.eval_budget {
-            out.push_str(&format!(",\"eval_budget\":{budget}"));
-        }
-        out.push('}');
-        out
+        });
+        o.field("variant", self.variant.name()).field("attacks", self.attacks.to_string());
+        o.opt("eval_budget", self.eval_budget);
     }
 
     /// Decodes a spec encoded by [`CampaignSpec::encode`].
@@ -293,54 +288,38 @@ impl CampaignSpec {
     ///
     /// A message describing the first malformed field.
     pub fn decode(line: &str) -> Result<CampaignSpec, String> {
-        Self::from_json(&parse_json(line)?)
+        Self::from_json(&json::parse(line)?)
     }
 
     /// Decodes a parsed spec object (shared with `crate::wire`, where the
     /// spec arrives nested inside a submit message).
     pub(crate) fn from_json(j: &Json) -> Result<CampaignSpec, String> {
-        if j.get("spec").and_then(Json::str) != Some("swarmfuzz-campaign") {
+        if j.req("spec") != Ok(SPEC_MAGIC) {
             return Err("not a campaign spec".into());
         }
-        if j.get("version").and_then(Json::u64) != Some(1) {
+        if j.req("version") != Ok(SPEC_VERSION) {
             return Err("unsupported spec version".into());
         }
-        let field = |key: &str| j.get(key).ok_or_else(|| format!("missing field {key:?}"));
-        let configs = match field("configs")? {
-            Json::Arr(items) => {
-                let mut configs = Vec::with_capacity(items.len());
-                for item in items {
-                    let swarm_size = item
-                        .get("swarm_size")
-                        .and_then(Json::usize)
-                        .ok_or("config missing swarm_size")?;
-                    let deviation = item
-                        .get("deviation")
-                        .and_then(Json::f64)
-                        .ok_or("config missing deviation")?;
-                    configs.push(SwarmConfig { swarm_size, deviation });
-                }
-                configs
-            }
-            _ => return Err("configs must be an array".into()),
-        };
-        let variant_name = field("variant")?.str().ok_or("variant must be a string")?;
+        let configs = j
+            .req::<&[Json]>("configs")?
+            .iter()
+            .map(|c| {
+                Ok(SwarmConfig { swarm_size: c.req("swarm_size")?, deviation: c.req("deviation")? })
+            })
+            .collect::<Result<_, String>>()?;
+        let variant_name: &str = j.req("variant")?;
         let variant = FuzzerVariant::parse(variant_name)
             .ok_or_else(|| format!("unknown variant {variant_name:?}"))?;
-        let attacks_list = field("attacks")?.str().ok_or("attacks must be a string")?;
-        let attacks = WaveformSet::parse(attacks_list)?;
         Ok(CampaignSpec {
             campaign: CampaignConfig {
                 configs,
-                missions_per_config: field("missions_per_config")?
-                    .usize()
-                    .ok_or("missions_per_config must be an integer")?,
-                base_seed: field("base_seed")?.u64().ok_or("base_seed must be an integer")?,
-                workers: field("workers")?.usize().ok_or("workers must be an integer")?,
+                missions_per_config: j.req("missions_per_config")?,
+                base_seed: j.req("base_seed")?,
+                workers: j.req("workers")?,
             },
             variant,
-            attacks,
-            eval_budget: j.get("eval_budget").and_then(Json::usize),
+            attacks: WaveformSet::parse(j.req("attacks")?)?,
+            eval_budget: j.opt("eval_budget")?,
         })
     }
 }
@@ -624,16 +603,11 @@ pub fn merge_shard_rows(dir: &Path, fingerprint: &str) -> Result<Vec<JournalRow>
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(StoreError::Io { path: dir.display().to_string(), message: e.to_string() })
-        }
+        Err(e) => return Err(io_err(dir, &e)),
     };
     let prefix = format!("{fingerprint}.shard-");
     for entry in entries {
-        let entry = entry.map_err(|e| StoreError::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })?;
+        let entry = entry.map_err(|e| io_err(dir, &e))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let Some(index) = name
@@ -981,11 +955,10 @@ impl CampaignServer {
         }
         let phase = job_state.phase;
         state.jobs.insert(job, job_state);
-        let mut event = format!("{{\"msg\":\"accepted\",\"job\":{job},\"tenant\":");
-        push_json_string(&mut event, tenant);
-        event.push_str(&format!(",\"total\":{total},\"resumed\":{resumed},\"fingerprint\":"));
-        push_json_string(&mut event, &fingerprint);
-        event.push('}');
+        let event = json::object(|o| {
+            o.field("msg", "accepted").field("job", job).field("tenant", tenant);
+            o.field("total", total).field("resumed", resumed).field("fingerprint", &fingerprint);
+        });
         emit_event(&mut state, event);
         drop(state);
         if phase == JobPhase::Done {
@@ -1142,6 +1115,14 @@ impl CampaignServer {
     }
 }
 
+/// A `progress` or `job-done` event line.
+fn job_event(msg: &str, job: u64, tenant: &str, done: usize, total: usize) -> String {
+    json::object(|o| {
+        o.field("msg", msg).field("job", job).field("tenant", tenant);
+        o.field("done", done).field("total", total);
+    })
+}
+
 fn emit_event(state: &mut ServerState, line: String) {
     state.subscribers.retain(|tx| tx.send(line.clone()).is_ok());
 }
@@ -1213,11 +1194,10 @@ fn record_row(
     if js.phase == JobPhase::Failed {
         let error = js.error.clone().unwrap_or_default();
         state.queue.cancel(job);
-        let mut event = format!("{{\"msg\":\"job-failed\",\"job\":{job},\"tenant\":");
-        push_json_string(&mut event, &tenant);
-        event.push_str(",\"error\":");
-        push_json_string(&mut event, &error);
-        event.push('}');
+        let event = json::object(|o| {
+            o.field("msg", "job-failed").field("job", job).field("tenant", &tenant);
+            o.field("error", &error);
+        });
         let released = js.executor.take();
         emit_event(state, event);
         inner.done.notify_all();
@@ -1232,17 +1212,11 @@ fn record_row(
         if let Some(js) = state.jobs.get_mut(&job) {
             js.completed_ordinal = Some(ordinal);
         }
-        let mut event = format!("{{\"msg\":\"job-done\",\"job\":{job},\"tenant\":");
-        push_json_string(&mut event, &tenant);
-        event.push_str(&format!(",\"done\":{done},\"total\":{total}}}"));
-        emit_event(state, event);
+        emit_event(state, job_event("job-done", job, &tenant, done, total));
         inner.done.notify_all();
         released
     } else {
-        let mut event = format!("{{\"msg\":\"progress\",\"job\":{job},\"tenant\":");
-        push_json_string(&mut event, &tenant);
-        event.push_str(&format!(",\"done\":{done},\"total\":{total}}}"));
-        emit_event(state, event);
+        emit_event(state, job_event("progress", job, &tenant, done, total));
         None
     }
 }

@@ -11,10 +11,11 @@
 //! different campaign (worker count and retry limits are execution details
 //! and deliberately excluded).
 //!
-//! Determinism discipline: every `f64` is rendered with Rust's
-//! shortest-round-trip formatting and parsed back with `str::parse`, so a
-//! journaled [`MissionResult`] reloads **bit-identical** — a resumed
-//! campaign report equals the uninterrupted one byte for byte (covered by
+//! Determinism discipline: rows go through the crate's JSON codec
+//! (`crate::json`), which renders every `f64` in Rust's shortest round-trip
+//! form and parses it back with `str::parse`, so a journaled
+//! [`MissionResult`] reloads **bit-identical** — a resumed campaign report
+//! equals the uninterrupted one byte for byte (covered by
 //! `tests/campaign_store.rs`).
 //!
 //! Crash tolerance: rows are appended one `write_all` at a time, so a kill
@@ -24,7 +25,6 @@
 //! anywhere *else* is real corruption and surfaces as
 //! [`StoreError::Corrupt`].
 
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -34,6 +34,7 @@ use swarm_sim::DroneId;
 
 use crate::campaign::{CampaignConfig, MissionFailure, MissionResult, SwarmConfig};
 use crate::fuzzer::{FuzzerConfig, SearchStrategy, SeedStrategy, SpvFinding};
+use crate::json::{self, Json, ObjectWriter};
 use crate::seed::Seed;
 use crate::svg::CentralityKind;
 
@@ -82,7 +83,7 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-fn io_err(path: &Path, e: &std::io::Error) -> StoreError {
+pub(crate) fn io_err(path: &Path, e: &std::io::Error) -> StoreError {
     StoreError::Io { path: path.display().to_string(), message: e.to_string() }
 }
 
@@ -207,273 +208,6 @@ impl JournalRow {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw text so 64-bit integers
-/// (mission seeds) never round through `f64`. Shared with the trace codec
-/// (`crate::trace`), which is why the type is crate-visible.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(HashMap<String, Json>),
-}
-
-impl Json {
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key).filter(|v| !matches!(v, Json::Null)),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn boolean(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
-            Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
-            // Non-finite floats are journaled as bare `inf`/`-inf`/`NaN`
-            // tokens (Rust's Display output), which `str::parse::<f64>`
-            // reads back; strict JSON never produces them.
-            Some(b'N') if self.eat_literal("NaN") => Ok(Json::Num("NaN".into())),
-            Some(b'i') if self.eat_literal("inf") => Ok(Json::Num("inf".into())),
-            Some(_) => self.parse_number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = HashMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid \\u{hex} escape"))?,
-                            );
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (journals are valid UTF-8:
-                    // they are read via `read_to_string`).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-            if self.eat_literal("inf") {
-                return Ok(Json::Num("-inf".into()));
-            }
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a value at byte {start}"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        if raw.parse::<f64>().is_err() {
-            return Err(format!("malformed number {raw:?}"));
-        }
-        Ok(Json::Num(raw.to_string()))
-    }
-}
-
-pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = JsonParser::new(text);
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after value at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
 // Row codec
 // ---------------------------------------------------------------------------
 
@@ -484,136 +218,82 @@ pub const JOURNAL_VERSION: u64 = 1;
 const JOURNAL_MAGIC: &str = "swarmfuzz-campaign";
 
 fn encode_header(fingerprint: &str, variant: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\"journal\":");
-    push_json_string(&mut out, JOURNAL_MAGIC);
-    out.push_str(&format!(",\"version\":{JOURNAL_VERSION},\"fingerprint\":"));
-    push_json_string(&mut out, fingerprint);
-    out.push_str(",\"variant\":");
-    push_json_string(&mut out, variant);
-    out.push_str("}\n");
-    out
+    let mut line = json::object(|o| {
+        o.field("journal", JOURNAL_MAGIC).field("version", JOURNAL_VERSION);
+        o.field("fingerprint", fingerprint).field("variant", variant);
+    });
+    line.push('\n');
+    line
 }
 
-fn direction_name(d: SpoofDirection) -> &'static str {
-    match d {
-        SpoofDirection::Left => "left",
-        SpoofDirection::Right => "right",
-    }
-}
-
-pub(crate) fn push_field_f64(out: &mut String, key: &str, x: f64) {
-    // Rust's shortest-round-trip formatting: parses back bit-identical.
-    out.push_str(&format!(",\"{key}\":{x}"));
+fn write_finding(o: &mut ObjectWriter<'_>, f: &SpvFinding) {
+    let seed = &f.seed;
+    o.field("target", seed.target.0).field("victim", seed.victim.0);
+    o.field("direction", seed.direction.to_string()).field("influence", seed.influence);
+    o.field("victim_vdo", seed.victim_vdo).field("start", f.start).field("duration", f.duration);
+    o.field("spoof_deviation", f.deviation);
+    // Only non-constant waveforms emit their class: journals written by
+    // constant-only campaigns stay byte-identical to the pre-zoo format.
+    match f.waveform {
+        Waveform::Constant => &mut *o,
+        Waveform::Drift { ramp } => o.field("waveform", "drift").field("ramp", ramp),
+        Waveform::Circular { omega } => o.field("waveform", "circular").field("omega", omega),
+        Waveform::Jump { period } => o.field("waveform", "jump").field("period", period),
+    };
+    o.field("actual_victim", f.actual_victim.0).field("collision_time", f.collision_time);
 }
 
 /// Renders one row as a single JSONL line (newline included).
 pub fn encode_row(row: &JournalRow) -> String {
-    let mut out = String::new();
-    match row {
-        JournalRow::Done { index, result } => {
-            out.push_str(&format!(
-                "{{\"row\":\"done\",\"swarm_size\":{},\"index\":{index}",
-                result.config.swarm_size
-            ));
-            push_field_f64(&mut out, "deviation", result.config.deviation);
-            out.push_str(&format!(",\"mission_seed\":{}", result.mission_seed));
-            push_field_f64(&mut out, "vdo", result.vdo);
-            out.push_str(&format!(
-                ",\"success\":{},\"evaluations\":{},\"seeds_tried\":{}",
-                result.success, result.evaluations, result.seeds_tried
-            ));
-            match &result.finding {
-                None => out.push_str(",\"finding\":null"),
-                Some(f) => {
-                    out.push_str(&format!(
-                        ",\"finding\":{{\"target\":{},\"victim\":{},\"direction\":\"{}\"",
-                        f.seed.target.0,
-                        f.seed.victim.0,
-                        direction_name(f.seed.direction)
-                    ));
-                    push_field_f64(&mut out, "influence", f.seed.influence);
-                    push_field_f64(&mut out, "victim_vdo", f.seed.victim_vdo);
-                    push_field_f64(&mut out, "start", f.start);
-                    push_field_f64(&mut out, "duration", f.duration);
-                    push_field_f64(&mut out, "spoof_deviation", f.deviation);
-                    // Only non-constant waveforms emit their class: journals
-                    // written by constant-only campaigns stay byte-identical
-                    // to the pre-zoo format.
-                    match f.waveform {
-                        Waveform::Constant => {}
-                        Waveform::Drift { ramp } => {
-                            out.push_str(",\"waveform\":\"drift\"");
-                            push_field_f64(&mut out, "ramp", ramp);
-                        }
-                        Waveform::Circular { omega } => {
-                            out.push_str(",\"waveform\":\"circular\"");
-                            push_field_f64(&mut out, "omega", omega);
-                        }
-                        Waveform::Jump { period } => {
-                            out.push_str(",\"waveform\":\"jump\"");
-                            push_field_f64(&mut out, "period", period);
-                        }
-                    }
-                    out.push_str(&format!(",\"actual_victim\":{}", f.actual_victim.0));
-                    push_field_f64(&mut out, "collision_time", f.collision_time);
-                    out.push('}');
-                }
-            }
-            out.push_str("}\n");
+    let mut line = json::object(|o| match row {
+        JournalRow::Done { index, result: r } => {
+            o.field("row", "done").field("swarm_size", r.config.swarm_size).field("index", index);
+            o.field("deviation", r.config.deviation).field("mission_seed", r.mission_seed);
+            o.field("vdo", r.vdo).field("success", r.success);
+            o.field("evaluations", r.evaluations).field("seeds_tried", r.seeds_tried);
+            match &r.finding {
+                None => o.null("finding"),
+                Some(f) => o.object("finding", |o| write_finding(o, f)),
+            };
         }
         JournalRow::Failed(f) => {
-            out.push_str(&format!(
-                "{{\"row\":\"failed\",\"swarm_size\":{},\"index\":{}",
-                f.config.swarm_size, f.index
-            ));
-            push_field_f64(&mut out, "deviation", f.config.deviation);
-            out.push_str(&format!(",\"retries\":{},\"error\":", f.retries));
-            push_json_string(&mut out, &f.error);
-            out.push_str("}\n");
+            o.field("row", "failed").field("swarm_size", f.config.swarm_size);
+            o.field("index", f.index).field("deviation", f.config.deviation);
+            o.field("retries", f.retries).field("error", &f.error);
         }
-    }
-    out
-}
-
-fn field<'j, T>(
-    obj: &'j Json,
-    key: &str,
-    get: impl Fn(&'j Json) -> Option<T>,
-) -> Result<T, String> {
-    obj.get(key).and_then(get).ok_or_else(|| format!("missing or invalid field {key:?}"))
+    });
+    line.push('\n');
+    line
 }
 
 fn decode_finding(j: &Json) -> Result<SpvFinding, String> {
-    let direction = match field(j, "direction", Json::str)? {
-        "left" => SpoofDirection::Left,
-        "right" => SpoofDirection::Right,
-        other => return Err(format!("unknown direction {other:?}")),
-    };
+    let name: &str = j.req("direction")?;
+    let direction = SpoofDirection::BOTH
+        .into_iter()
+        .find(|d| d.to_string() == name)
+        .ok_or_else(|| format!("unknown direction {name:?}"))?;
     // Legacy rows carry no waveform field: they are constant-offset.
-    let waveform = match j.get("waveform").map(|w| w.str().ok_or("waveform must be a string")) {
-        None => Waveform::Constant,
-        Some(Err(e)) => return Err(e.to_string()),
-        Some(Ok("constant")) => Waveform::Constant,
-        Some(Ok("drift")) => Waveform::Drift { ramp: field(j, "ramp", Json::f64)? },
-        Some(Ok("circular")) => Waveform::Circular { omega: field(j, "omega", Json::f64)? },
-        Some(Ok("jump")) => Waveform::Jump { period: field(j, "period", Json::f64)? },
-        Some(Ok(other)) => return Err(format!("unknown waveform {other:?}")),
+    let waveform = match j.opt::<&str>("waveform")? {
+        None | Some("constant") => Waveform::Constant,
+        Some("drift") => Waveform::Drift { ramp: j.req("ramp")? },
+        Some("circular") => Waveform::Circular { omega: j.req("omega")? },
+        Some("jump") => Waveform::Jump { period: j.req("period")? },
+        Some(other) => return Err(format!("unknown waveform {other:?}")),
     };
     Ok(SpvFinding {
         seed: Seed {
-            target: DroneId(field(j, "target", Json::usize)?),
-            victim: DroneId(field(j, "victim", Json::usize)?),
+            target: DroneId(j.req("target")?),
+            victim: DroneId(j.req("victim")?),
             direction,
-            influence: field(j, "influence", Json::f64)?,
-            victim_vdo: field(j, "victim_vdo", Json::f64)?,
+            influence: j.req("influence")?,
+            victim_vdo: j.req("victim_vdo")?,
             waveform: waveform.kind(),
         },
-        start: field(j, "start", Json::f64)?,
-        duration: field(j, "duration", Json::f64)?,
-        deviation: field(j, "spoof_deviation", Json::f64)?,
-        actual_victim: DroneId(field(j, "actual_victim", Json::usize)?),
-        collision_time: field(j, "collision_time", Json::f64)?,
+        start: j.req("start")?,
+        duration: j.req("duration")?,
+        deviation: j.req("spoof_deviation")?,
+        actual_victim: DroneId(j.req("actual_victim")?),
+        collision_time: j.req("collision_time")?,
         waveform,
     })
 }
@@ -624,30 +304,27 @@ fn decode_finding(j: &Json) -> Result<SpvFinding, String> {
 ///
 /// Returns a description of the first schema violation.
 pub fn decode_row(line: &str) -> Result<JournalRow, String> {
-    let j = parse_json(line)?;
-    let config = SwarmConfig {
-        swarm_size: field(&j, "swarm_size", Json::usize)?,
-        deviation: field(&j, "deviation", Json::f64)?,
-    };
-    let index = field(&j, "index", Json::usize)?;
-    match field(&j, "row", Json::str)? {
+    let j = json::parse(line)?;
+    let config = SwarmConfig { swarm_size: j.req("swarm_size")?, deviation: j.req("deviation")? };
+    let index = j.req("index")?;
+    match j.req("row")? {
         "done" => Ok(JournalRow::Done {
             index,
             result: MissionResult {
                 config,
-                mission_seed: field(&j, "mission_seed", Json::u64)?,
-                vdo: field(&j, "vdo", Json::f64)?,
-                success: field(&j, "success", Json::boolean)?,
-                finding: j.get("finding").map(decode_finding).transpose()?,
-                evaluations: field(&j, "evaluations", Json::usize)?,
-                seeds_tried: field(&j, "seeds_tried", Json::usize)?,
+                mission_seed: j.req("mission_seed")?,
+                vdo: j.req("vdo")?,
+                success: j.req("success")?,
+                finding: j.opt("finding")?.map(decode_finding).transpose()?,
+                evaluations: j.req("evaluations")?,
+                seeds_tried: j.req("seeds_tried")?,
             },
         }),
         "failed" => Ok(JournalRow::Failed(MissionFailure {
             config,
             index,
-            error: field(&j, "error", Json::str)?.to_string(),
-            retries: field(&j, "retries", Json::usize)?,
+            error: j.req("error")?,
+            retries: j.req("retries")?,
         })),
         other => Err(format!("unknown row kind {other:?}")),
     }
@@ -701,23 +378,16 @@ impl CampaignJournal {
         let header_line = lines
             .first()
             .ok_or(StoreError::Corrupt { line: 1, message: "empty journal".into() })?;
-        let header =
-            parse_json(header_line).map_err(|message| StoreError::Corrupt { line: 1, message })?;
-        if header.get("journal").and_then(Json::str) != Some(JOURNAL_MAGIC) {
-            return Err(StoreError::Corrupt { line: 1, message: "not a campaign journal".into() });
+        let corrupt = |message: String| StoreError::Corrupt { line: 1, message };
+        let header = json::parse(header_line).map_err(corrupt)?;
+        if header.req("journal") != Ok(JOURNAL_MAGIC) {
+            return Err(corrupt("not a campaign journal".into()));
         }
-        if header.get("version").and_then(Json::u64) != Some(JOURNAL_VERSION) {
-            return Err(StoreError::Corrupt {
-                line: 1,
-                message: "unsupported journal version".into(),
-            });
+        if header.req("version") != Ok(JOURNAL_VERSION) {
+            return Err(corrupt("unsupported journal version".into()));
         }
-        let fingerprint = header
-            .get("fingerprint")
-            .and_then(Json::str)
-            .ok_or(StoreError::Corrupt { line: 1, message: "header missing fingerprint".into() })?
-            .to_string();
-        let variant = header.get("variant").and_then(Json::str).unwrap_or_default().to_string();
+        let fingerprint = header.req("fingerprint").map_err(corrupt)?;
+        let variant = header.opt("variant").map_err(corrupt)?.unwrap_or_default();
 
         let mut rows = Vec::new();
         let last = lines.len().saturating_sub(1);
@@ -1022,24 +692,5 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_numbers() {
-        let j = parse_json(
-            "{\"s\":\"a\\\"b\\\\c\\n\\u0041\",\"n\":-1.5e-3,\"u\":18446744073709551615,\
-             \"t\":true,\"x\":null,\"inf\":inf,\"ninf\":-inf,\"nan\":NaN}",
-        )
-        .unwrap();
-        assert_eq!(j.get("s").and_then(Json::str), Some("a\"b\\c\nA"));
-        assert_eq!(j.get("n").and_then(Json::f64), Some(-1.5e-3));
-        assert_eq!(j.get("u").and_then(Json::u64), Some(u64::MAX));
-        assert_eq!(j.get("t").and_then(Json::boolean), Some(true));
-        assert!(j.get("x").is_none(), "null reads as absent");
-        assert_eq!(j.get("inf").and_then(Json::f64), Some(f64::INFINITY));
-        assert_eq!(j.get("ninf").and_then(Json::f64), Some(f64::NEG_INFINITY));
-        assert!(j.get("nan").and_then(Json::f64).unwrap().is_nan());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("{\"a\":1} trailing").is_err());
     }
 }

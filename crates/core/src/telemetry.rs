@@ -19,8 +19,9 @@
 //!   [`swarm_sim::SimObserver`] hook, keeping the mission-step hot path free
 //!   of atomics (`benches/micro.rs` measures the overhead).
 //! * [`Telemetry::snapshot`] freezes everything into a [`TelemetryReport`]
-//!   with hand-rolled JSON/CSV writers, so reports land next to the
-//!   `bench_results/` CSVs without a serialization dependency.
+//!   with JSON (the crate's one codec, `crate::json`) and CSV writers, so
+//!   reports land next to the `bench_results/` CSVs without a
+//!   serialization dependency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,6 +29,8 @@ use std::time::Instant;
 
 use swarm_math::stats::{log_bucket_index, LogHistogram, LOG_HISTOGRAM_BUCKETS};
 use swarm_sim::{RunStats, SimObserver};
+
+use crate::json;
 
 /// Instrumented pipeline phases, each backed by a latency histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -454,17 +457,6 @@ pub struct TelemetryReport {
     pub workers: Vec<WorkerStats>,
 }
 
-fn push_json_f64(out: &mut String, x: f64) {
-    // Shortest round-trip form, as the store codec writes floats. JSON has
-    // no NaN/Infinity; clamp to null-free 0 (never produced by the snapshot
-    // path, but the writer must not emit invalid JSON regardless).
-    if x.is_finite() {
-        out.push_str(&format!("{x}"));
-    } else {
-        out.push('0');
-    }
-}
-
 impl TelemetryReport {
     /// The counter value by name, when present.
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -476,43 +468,37 @@ impl TelemetryReport {
         self.phases.iter().find(|p| p.name == name)
     }
 
-    /// Renders the report as a JSON object (hand-rolled; no serialization
-    /// dependency).
+    /// Renders the report as one line of JSON (newline included). JSON has
+    /// no NaN or infinity, so a non-finite statistic (never produced by a
+    /// snapshot) is written as 0.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {}", c.name, c.value));
-        }
-        out.push_str("\n  },\n  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"mean_ns\": ",
-                p.name, p.count, p.total_ns
-            ));
-            push_json_f64(&mut out, p.mean_ns);
-            out.push_str(", \"p50_ns\": ");
-            push_json_f64(&mut out, p.p50_ns);
-            out.push_str(", \"p95_ns\": ");
-            push_json_f64(&mut out, p.p95_ns);
-            out.push_str(&format!(", \"max_ns\": {}}}", p.max_ns));
-        }
-        out.push_str("\n  ],\n  \"workers\": [");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"worker\": {}, \"missions\": {}, \"spvs\": {}, \"evaluations\": {}}}",
-                w.worker, w.missions, w.spvs, w.evaluations
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
+        let finite = |x: f64| if x.is_finite() { x } else { 0.0 };
+        let mut out = json::object(|o| {
+            o.object("counters", |o| {
+                for c in &self.counters {
+                    o.field(c.name, c.value);
+                }
+            })
+            .array("phases", |a| {
+                for p in &self.phases {
+                    a.element(|o| {
+                        o.field("name", p.name).field("count", p.count);
+                        o.field("total_ns", p.total_ns).field("mean_ns", finite(p.mean_ns));
+                        o.field("p50_ns", finite(p.p50_ns)).field("p95_ns", finite(p.p95_ns));
+                        o.field("max_ns", p.max_ns);
+                    });
+                }
+            })
+            .array("workers", |a| {
+                for w in &self.workers {
+                    a.element(|o| {
+                        o.field("worker", w.worker).field("missions", w.missions);
+                        o.field("spvs", w.spvs).field("evaluations", w.evaluations);
+                    });
+                }
+            });
+        });
+        out.push('\n');
         out
     }
 
@@ -665,9 +651,9 @@ mod tests {
         let report = t.snapshot().unwrap();
 
         let json = report.to_json();
-        assert!(json.contains("\"missions_run\": 1"));
-        assert!(json.contains("\"name\": \"mission_sim\", \"count\": 1"));
-        assert!(json.contains("\"worker\": 1, \"missions\": 1, \"spvs\": 1"));
+        assert!(json.contains("\"missions_run\":1"));
+        assert!(json.contains("\"name\":\"mission_sim\",\"count\":1"));
+        assert!(json.contains("\"worker\":1,\"missions\":1,\"spvs\":1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
         let csv = report.to_csv();
@@ -683,7 +669,7 @@ mod tests {
 
     #[test]
     fn json_floats_round_trip_bit_exactly() {
-        use crate::store::{parse_json, Json};
+        use crate::json::{self, Json};
 
         // 1 ns over 30 spans: a phase mean of 1/30 ns, far below the 0.1
         // resolution a fixed one-decimal format would keep.
@@ -696,13 +682,12 @@ mod tests {
         let mean = report.phase("baseline").unwrap().mean_ns;
         assert!(mean > 0.0 && mean < 0.1, "mean {mean}");
 
-        let json = parse_json(&report.to_json()).expect("telemetry JSON parses");
-        let Some(Json::Arr(phases)) = json.get("phases") else { panic!("phases array") };
-        let parsed = phases
+        let json = json::parse(&report.to_json()).expect("telemetry JSON parses");
+        let phases: &[Json] = json.req("phases").expect("phases array");
+        let parsed: f64 = phases
             .iter()
-            .find(|p| p.get("name").and_then(Json::str) == Some("baseline"))
-            .and_then(|p| p.get("mean_ns"))
-            .and_then(Json::f64)
+            .find(|p| p.req("name") == Ok("baseline"))
+            .and_then(|p| p.req("mean_ns").ok())
             .expect("baseline mean_ns");
         assert_eq!(parsed.to_bits(), mean.to_bits());
     }

@@ -31,9 +31,9 @@
 //! | [`ProgressSink`]| stderr, rate-limited| live campaign progress        |
 //! | [`TeeSink`]     | fan-out            | file + progress simultaneously |
 //!
-//! NDJSON lines use the same hand-rolled bit-exact codec as the campaign
-//! journal (`crate::store`): floats in Rust's shortest-round-trip format,
-//! non-finite values as bare `inf`/`-inf`/`NaN` tokens.
+//! NDJSON lines go through the crate's one JSON codec (`crate::json`), as
+//! journal rows do: floats in Rust's shortest-round-trip format, non-finite
+//! values as bare `inf`/`-inf`/`NaN` tokens.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -43,7 +43,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::store::{self, Json, StoreError};
+use crate::json;
+use crate::store::{io_err, StoreError};
 
 // ---------------------------------------------------------------------------
 // Keys and events
@@ -291,134 +292,74 @@ pub struct TraceRecord {
 }
 
 // ---------------------------------------------------------------------------
-// NDJSON codec (bit-exact, shared idiom with crate::store)
+// NDJSON codec
 // ---------------------------------------------------------------------------
 
 /// Renders one record as a single NDJSON line (newline included).
 pub fn encode_record(record: &TraceRecord) -> String {
     let k = &record.key;
-    let mut out = format!(
-        "{{\"s\":{},\"db\":{},\"i\":{},\"q\":{},\"ev\":",
-        k.swarm_size, k.deviation_bits, k.index, k.seq
-    );
-    store::push_json_string(&mut out, record.event.kind());
-    match &record.event {
-        TraceEvent::CampaignStart { configs, missions_per_config } => {
-            out.push_str(&format!(",\"configs\":{configs},\"missions\":{missions_per_config}"));
-        }
-        TraceEvent::CampaignEnd { missions, failures } => {
-            out.push_str(&format!(",\"missions\":{missions},\"failures\":{failures}"));
-        }
-        TraceEvent::ResumeSkip => {}
-        TraceEvent::JournalAppend { row } => {
-            out.push_str(",\"row\":");
-            store::push_json_string(&mut out, row);
-        }
-        TraceEvent::MissionStart { mission_seed } => {
-            out.push_str(&format!(",\"seed\":{mission_seed}"));
-        }
-        TraceEvent::BaselineRejected { mission_seed, time } => {
-            out.push_str(&format!(",\"seed\":{mission_seed}"));
-            store::push_field_f64(&mut out, "time", *time);
-        }
-        TraceEvent::BaselineDone { vdo, vdo_drone, duration, snapshots, stride } => {
-            store::push_field_f64(&mut out, "vdo", *vdo);
-            out.push_str(&format!(",\"drone\":{vdo_drone}"));
-            store::push_field_f64(&mut out, "duration", *duration);
-            out.push_str(&format!(",\"snapshots\":{snapshots},\"stride\":{stride}"));
-        }
-        TraceEvent::SeedRanked { rank, target, victim, theta, influence, victim_vdo } => {
-            out.push_str(&format!(
-                ",\"rank\":{rank},\"target\":{target},\"victim\":{victim},\"theta\":{theta}"
-            ));
-            store::push_field_f64(&mut out, "influence", *influence);
-            store::push_field_f64(&mut out, "victim_vdo", *victim_vdo);
-        }
-        TraceEvent::SeedStart { ordinal, target, victim, theta, waveform, budget } => {
-            out.push_str(&format!(
-                ",\"ordinal\":{ordinal},\"target\":{target},\"victim\":{victim},\"theta\":{theta}"
-            ));
-            out.push_str(",\"waveform\":");
-            store::push_json_string(&mut out, waveform);
-            out.push_str(&format!(",\"budget\":{budget}"));
-        }
-        TraceEvent::Probe { ts, dt, shape, value, success, fork } => {
-            store::push_field_f64(&mut out, "ts", *ts);
-            store::push_field_f64(&mut out, "dt", *dt);
-            if let Some(shape) = shape {
-                store::push_field_f64(&mut out, "shape", *shape);
+    let mut line = json::object(|o| {
+        o.field("s", k.swarm_size).field("db", k.deviation_bits).field("i", k.index);
+        o.field("q", k.seq).field("ev", record.event.kind());
+        match &record.event {
+            TraceEvent::CampaignStart { configs, missions_per_config } => {
+                o.field("configs", configs).field("missions", missions_per_config);
             }
-            store::push_field_f64(&mut out, "value", *value);
-            out.push_str(&format!(",\"success\":{success}"));
-            if let Some(fork) = fork {
-                out.push_str(&format!(",\"fork\":{fork}"));
+            TraceEvent::CampaignEnd { missions, failures } => {
+                o.field("missions", missions).field("failures", failures);
+            }
+            TraceEvent::ResumeSkip => {}
+            TraceEvent::JournalAppend { row } => {
+                o.field("row", row);
+            }
+            TraceEvent::MissionStart { mission_seed } => {
+                o.field("seed", mission_seed);
+            }
+            TraceEvent::BaselineRejected { mission_seed, time } => {
+                o.field("seed", mission_seed).field("time", time);
+            }
+            TraceEvent::BaselineDone { vdo, vdo_drone, duration, snapshots, stride } => {
+                o.field("vdo", vdo).field("drone", vdo_drone).field("duration", duration);
+                o.field("snapshots", snapshots).field("stride", stride);
+            }
+            TraceEvent::SeedRanked { rank, target, victim, theta, influence, victim_vdo } => {
+                o.field("rank", rank).field("target", target).field("victim", victim);
+                o.field("theta", theta).field("influence", influence);
+                o.field("victim_vdo", victim_vdo);
+            }
+            TraceEvent::SeedStart { ordinal, target, victim, theta, waveform, budget } => {
+                o.field("ordinal", ordinal).field("target", target).field("victim", victim);
+                o.field("theta", theta).field("waveform", waveform).field("budget", budget);
+            }
+            TraceEvent::Probe { ts, dt, shape, value, success, fork } => {
+                o.field("ts", ts).field("dt", dt).opt("shape", *shape).field("value", value);
+                o.field("success", success).opt("fork", *fork);
+            }
+            TraceEvent::GradientStep { g_ts, g_dt, ts, dt } => {
+                o.field("g_ts", g_ts).field("g_dt", g_dt).field("ts", ts).field("dt", dt);
+            }
+            TraceEvent::SeedDone { evaluations, converged, best_value, success } => {
+                o.field("evaluations", evaluations).field("converged", converged);
+                o.field("best_value", best_value).field("success", success);
+            }
+            TraceEvent::MissionDone { success, evaluations, seeds_tried } => {
+                o.field("success", success).field("evaluations", evaluations);
+                o.field("seeds_tried", seeds_tried);
+            }
+            TraceEvent::MissionRetry { attempt, error } => {
+                o.field("attempt", attempt).field("error", error);
+            }
+            TraceEvent::MissionFailed { error, retries } => {
+                o.field("error", error).field("retries", retries);
+            }
+            TraceEvent::MinimizePass { pass, evaluations, start, duration, deviation } => {
+                o.field("pass", pass).field("evaluations", evaluations).field("start", start);
+                o.field("duration", duration).field("deviation", deviation);
             }
         }
-        TraceEvent::GradientStep { g_ts, g_dt, ts, dt } => {
-            store::push_field_f64(&mut out, "g_ts", *g_ts);
-            store::push_field_f64(&mut out, "g_dt", *g_dt);
-            store::push_field_f64(&mut out, "ts", *ts);
-            store::push_field_f64(&mut out, "dt", *dt);
-        }
-        TraceEvent::SeedDone { evaluations, converged, best_value, success } => {
-            out.push_str(&format!(",\"evaluations\":{evaluations},\"converged\":{converged}"));
-            store::push_field_f64(&mut out, "best_value", *best_value);
-            out.push_str(&format!(",\"success\":{success}"));
-        }
-        TraceEvent::MissionDone { success, evaluations, seeds_tried } => {
-            out.push_str(&format!(
-                ",\"success\":{success},\"evaluations\":{evaluations},\"seeds_tried\":{seeds_tried}"
-            ));
-        }
-        TraceEvent::MissionRetry { attempt, error } => {
-            out.push_str(&format!(",\"attempt\":{attempt},\"error\":"));
-            store::push_json_string(&mut out, error);
-        }
-        TraceEvent::MissionFailed { error, retries } => {
-            out.push_str(",\"error\":");
-            store::push_json_string(&mut out, error);
-            out.push_str(&format!(",\"retries\":{retries}"));
-        }
-        TraceEvent::MinimizePass { pass, evaluations, start, duration, deviation } => {
-            out.push_str(",\"pass\":");
-            store::push_json_string(&mut out, pass);
-            out.push_str(&format!(",\"evaluations\":{evaluations}"));
-            store::push_field_f64(&mut out, "start", *start);
-            store::push_field_f64(&mut out, "duration", *duration);
-            store::push_field_f64(&mut out, "deviation", *deviation);
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-fn need<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    need(v, key)?.u64().ok_or_else(|| format!("field {key:?} is not a u64"))
-}
-
-fn need_usize(v: &Json, key: &str) -> Result<usize, String> {
-    need(v, key)?.usize().ok_or_else(|| format!("field {key:?} is not a usize"))
-}
-
-fn need_f64(v: &Json, key: &str) -> Result<f64, String> {
-    need(v, key)?.f64().ok_or_else(|| format!("field {key:?} is not a number"))
-}
-
-fn need_bool(v: &Json, key: &str) -> Result<bool, String> {
-    need(v, key)?.boolean().ok_or_else(|| format!("field {key:?} is not a bool"))
-}
-
-fn need_str(v: &Json, key: &str) -> Result<String, String> {
-    Ok(need(v, key)?.str().ok_or_else(|| format!("field {key:?} is not a string"))?.to_string())
-}
-
-fn need_i8(v: &Json, key: &str) -> Result<i8, String> {
-    let x = need_f64(v, key)?;
-    Ok(x as i8)
+    });
+    line.push('\n');
+    line
 }
 
 /// Parses one NDJSON line back into a record (inverse of [`encode_record`]).
@@ -427,92 +368,87 @@ fn need_i8(v: &Json, key: &str) -> Result<i8, String> {
 ///
 /// Returns a description of the first malformed byte or missing field.
 pub fn decode_record(line: &str) -> Result<TraceRecord, String> {
-    let v = store::parse_json(line.trim_end_matches('\n'))?;
+    let v = json::parse(line.trim_end_matches('\n'))?;
     let key = TraceKey {
-        swarm_size: need_u64(&v, "s")?,
-        deviation_bits: need_u64(&v, "db")?,
-        index: need_u64(&v, "i")?,
-        seq: need_u64(&v, "q")?,
+        swarm_size: v.req("s")?,
+        deviation_bits: v.req("db")?,
+        index: v.req("i")?,
+        seq: v.req("q")?,
     };
-    let kind = need_str(&v, "ev")?;
-    let event = match kind.as_str() {
+    let event = match v.req("ev")? {
         "campaign_start" => TraceEvent::CampaignStart {
-            configs: need_usize(&v, "configs")?,
-            missions_per_config: need_usize(&v, "missions")?,
+            configs: v.req("configs")?,
+            missions_per_config: v.req("missions")?,
         },
-        "campaign_end" => TraceEvent::CampaignEnd {
-            missions: need_usize(&v, "missions")?,
-            failures: need_usize(&v, "failures")?,
-        },
+        "campaign_end" => {
+            TraceEvent::CampaignEnd { missions: v.req("missions")?, failures: v.req("failures")? }
+        }
         "resume_skip" => TraceEvent::ResumeSkip,
-        "journal_append" => TraceEvent::JournalAppend { row: need_str(&v, "row")? },
-        "mission_start" => TraceEvent::MissionStart { mission_seed: need_u64(&v, "seed")? },
-        "baseline_rejected" => TraceEvent::BaselineRejected {
-            mission_seed: need_u64(&v, "seed")?,
-            time: need_f64(&v, "time")?,
-        },
+        "journal_append" => TraceEvent::JournalAppend { row: v.req("row")? },
+        "mission_start" => TraceEvent::MissionStart { mission_seed: v.req("seed")? },
+        "baseline_rejected" => {
+            TraceEvent::BaselineRejected { mission_seed: v.req("seed")?, time: v.req("time")? }
+        }
         "baseline" => TraceEvent::BaselineDone {
-            vdo: need_f64(&v, "vdo")?,
-            vdo_drone: need_usize(&v, "drone")?,
-            duration: need_f64(&v, "duration")?,
-            snapshots: need_usize(&v, "snapshots")?,
-            stride: need_usize(&v, "stride")?,
+            vdo: v.req("vdo")?,
+            vdo_drone: v.req("drone")?,
+            duration: v.req("duration")?,
+            snapshots: v.req("snapshots")?,
+            stride: v.req("stride")?,
         },
         "seed_ranked" => TraceEvent::SeedRanked {
-            rank: need_usize(&v, "rank")?,
-            target: need_usize(&v, "target")?,
-            victim: need_usize(&v, "victim")?,
-            theta: need_i8(&v, "theta")?,
-            influence: need_f64(&v, "influence")?,
-            victim_vdo: need_f64(&v, "victim_vdo")?,
+            rank: v.req("rank")?,
+            target: v.req("target")?,
+            victim: v.req("victim")?,
+            theta: v.req("theta")?,
+            influence: v.req("influence")?,
+            victim_vdo: v.req("victim_vdo")?,
         },
         "seed_start" => TraceEvent::SeedStart {
-            ordinal: need_usize(&v, "ordinal")?,
-            target: need_usize(&v, "target")?,
-            victim: need_usize(&v, "victim")?,
-            theta: need_i8(&v, "theta")?,
-            waveform: need_str(&v, "waveform")?,
-            budget: need_usize(&v, "budget")?,
+            ordinal: v.req("ordinal")?,
+            target: v.req("target")?,
+            victim: v.req("victim")?,
+            theta: v.req("theta")?,
+            waveform: v.req("waveform")?,
+            budget: v.req("budget")?,
         },
         "probe" => TraceEvent::Probe {
-            ts: need_f64(&v, "ts")?,
-            dt: need_f64(&v, "dt")?,
-            shape: v.get("shape").and_then(Json::f64),
-            value: need_f64(&v, "value")?,
-            success: need_bool(&v, "success")?,
-            fork: v.get("fork").and_then(Json::boolean),
+            ts: v.req("ts")?,
+            dt: v.req("dt")?,
+            shape: v.opt("shape")?,
+            value: v.req("value")?,
+            success: v.req("success")?,
+            fork: v.opt("fork")?,
         },
         "gradient_step" => TraceEvent::GradientStep {
-            g_ts: need_f64(&v, "g_ts")?,
-            g_dt: need_f64(&v, "g_dt")?,
-            ts: need_f64(&v, "ts")?,
-            dt: need_f64(&v, "dt")?,
+            g_ts: v.req("g_ts")?,
+            g_dt: v.req("g_dt")?,
+            ts: v.req("ts")?,
+            dt: v.req("dt")?,
         },
         "seed_done" => TraceEvent::SeedDone {
-            evaluations: need_usize(&v, "evaluations")?,
-            converged: need_bool(&v, "converged")?,
-            best_value: need_f64(&v, "best_value")?,
-            success: need_bool(&v, "success")?,
+            evaluations: v.req("evaluations")?,
+            converged: v.req("converged")?,
+            best_value: v.req("best_value")?,
+            success: v.req("success")?,
         },
         "mission_done" => TraceEvent::MissionDone {
-            success: need_bool(&v, "success")?,
-            evaluations: need_usize(&v, "evaluations")?,
-            seeds_tried: need_usize(&v, "seeds_tried")?,
+            success: v.req("success")?,
+            evaluations: v.req("evaluations")?,
+            seeds_tried: v.req("seeds_tried")?,
         },
-        "mission_retry" => TraceEvent::MissionRetry {
-            attempt: need_usize(&v, "attempt")?,
-            error: need_str(&v, "error")?,
-        },
-        "mission_failed" => TraceEvent::MissionFailed {
-            error: need_str(&v, "error")?,
-            retries: need_usize(&v, "retries")?,
-        },
+        "mission_retry" => {
+            TraceEvent::MissionRetry { attempt: v.req("attempt")?, error: v.req("error")? }
+        }
+        "mission_failed" => {
+            TraceEvent::MissionFailed { error: v.req("error")?, retries: v.req("retries")? }
+        }
         "minimize_pass" => TraceEvent::MinimizePass {
-            pass: need_str(&v, "pass")?,
-            evaluations: need_usize(&v, "evaluations")?,
-            start: need_f64(&v, "start")?,
-            duration: need_f64(&v, "duration")?,
-            deviation: need_f64(&v, "deviation")?,
+            pass: v.req("pass")?,
+            evaluations: v.req("evaluations")?,
+            start: v.req("start")?,
+            duration: v.req("duration")?,
+            deviation: v.req("deviation")?,
         },
         other => return Err(format!("unknown trace event kind {other:?}")),
     };
@@ -590,7 +526,7 @@ pub fn canonical_ndjson(text: &str) -> Result<String, String> {
 ///
 /// Returns a description of the first malformed byte.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    store::parse_json(text).map(|_| ())
+    json::parse(text).map(|_| ())
 }
 
 // ---------------------------------------------------------------------------
@@ -677,16 +613,12 @@ impl FileSink {
     ///
     /// [`StoreError::Io`] when the file cannot be created.
     pub fn create(path: &Path) -> Result<Self, StoreError> {
-        let io_err = |e: &std::io::Error| StoreError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| io_err(&e))?;
+                std::fs::create_dir_all(parent).map_err(|e| io_err(path, &e))?;
             }
         }
-        let file = File::create(path).map_err(|e| io_err(&e))?;
+        let file = File::create(path).map_err(|e| io_err(path, &e))?;
         Ok(FileSink {
             path: path.to_path_buf(),
             out: Mutex::new(BufWriter::new(file)),
@@ -921,88 +853,87 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
         tids.iter().position(|&s| s == (key.swarm_size, key.deviation_bits, key.index)).unwrap_or(0)
     };
 
-    let mut events: Vec<String> = Vec::new();
-    let mut push_event = |body: String| events.push(body);
-
-    // Thread-name metadata.
-    for (tid, scope) in tids.iter().enumerate() {
-        let key = TraceKey { swarm_size: scope.0, deviation_bits: scope.1, index: scope.2, seq: 0 };
-        let mut name = String::new();
-        store::push_json_string(&mut name, &key.scope_name());
-        push_event(format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":{name}}}}}"
-        ));
-    }
-
-    // Mission spans: one complete event covering the scope's whole history.
-    for (tid, scope) in tids.iter().enumerate() {
-        if scope.0 == 0 || scope.0 == u64::MAX {
-            continue; // campaign scopes hold instants only
-        }
-        let max_seq = sorted
-            .iter()
-            .filter(|r| (r.key.swarm_size, r.key.deviation_bits, r.key.index) == *scope)
-            .map(|r| if r.key.seq == u64::MAX { 0 } else { r.key.seq })
-            .max()
-            .unwrap_or(0);
-        push_event(format!(
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":0,\"dur\":{},\"name\":\"mission\"}}",
-            max_seq + 1
-        ));
-    }
-
-    // Seed spans: pair each SeedStart with the next SeedDone in its scope.
-    for (pos, r) in sorted.iter().enumerate() {
-        if let TraceEvent::SeedStart { ordinal, target, victim, .. } = &r.event {
-            let end = sorted[pos + 1..]
-                .iter()
-                .take_while(|r2| {
-                    (r2.key.swarm_size, r2.key.deviation_bits, r2.key.index)
-                        == (r.key.swarm_size, r.key.deviation_bits, r.key.index)
-                })
-                .find(|r2| matches!(r2.event, TraceEvent::SeedDone { .. }));
-            if let Some(end) = end {
-                let mut name = String::new();
-                store::push_json_string(&mut name, &format!("seed#{ordinal} {target}->{victim}"));
-                push_event(format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{name}}}",
-                    tid_of(&r.key),
-                    r.key.seq,
-                    end.key.seq.saturating_sub(r.key.seq).max(1),
-                ));
+    json::object(|o| {
+        o.array("traceEvents", |events| {
+            // Thread-name metadata.
+            for (tid, &(swarm_size, deviation_bits, index)) in tids.iter().enumerate() {
+                let name = TraceKey { swarm_size, deviation_bits, index, seq: 0 }.scope_name();
+                events.element(|e| {
+                    e.field("ph", "M").field("pid", 1).field("tid", tid);
+                    e.field("name", "thread_name").object("args", |a| {
+                        a.field("name", name);
+                    });
+                });
             }
-        }
-    }
 
-    // Every record as a slice (probes) or instant, with its Debug payload.
-    for r in &sorted {
-        let ts = if r.key.seq == u64::MAX { 0 } else { r.key.seq };
-        let mut name = String::new();
-        store::push_json_string(&mut name, r.event.kind());
-        let mut detail = String::new();
-        store::push_json_string(&mut detail, &format!("{:?}", r.event));
-        let args = format!("{{\"detail\":{detail}}}");
-        let body = match &r.event {
-            TraceEvent::Probe { .. } => format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"dur\":1,\"name\":{name},\
-                 \"args\":{args}}}",
-                tid_of(&r.key)
-            ),
-            TraceEvent::SeedStart { .. } | TraceEvent::SeedDone { .. } => continue,
-            _ => format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"s\":\"t\",\"name\":{name},\
-                 \"args\":{args}}}",
-                tid_of(&r.key)
-            ),
-        };
-        push_event(body);
-    }
+            // Mission spans: one complete event covering the scope's whole
+            // history.
+            for (tid, scope) in tids.iter().enumerate() {
+                if scope.0 == 0 || scope.0 == u64::MAX {
+                    continue; // campaign scopes hold instants only
+                }
+                let max_seq = sorted
+                    .iter()
+                    .filter(|r| (r.key.swarm_size, r.key.deviation_bits, r.key.index) == *scope)
+                    .map(|r| if r.key.seq == u64::MAX { 0 } else { r.key.seq })
+                    .max()
+                    .unwrap_or(0);
+                events.element(|e| {
+                    e.field("ph", "X").field("pid", 1).field("tid", tid).field("ts", 0);
+                    e.field("dur", max_seq + 1).field("name", "mission");
+                });
+            }
 
-    let mut out = String::from("{\"traceEvents\":[");
-    out.push_str(&events.join(","));
-    out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"swarmfuzz\"}}");
-    out
+            // Seed spans: pair each SeedStart with the next SeedDone in its
+            // scope.
+            for (pos, r) in sorted.iter().enumerate() {
+                if let TraceEvent::SeedStart { ordinal, target, victim, .. } = &r.event {
+                    let end = sorted[pos + 1..]
+                        .iter()
+                        .take_while(|r2| {
+                            (r2.key.swarm_size, r2.key.deviation_bits, r2.key.index)
+                                == (r.key.swarm_size, r.key.deviation_bits, r.key.index)
+                        })
+                        .find(|r2| matches!(r2.event, TraceEvent::SeedDone { .. }));
+                    if let Some(end) = end {
+                        let dur = end.key.seq.saturating_sub(r.key.seq).max(1);
+                        events.element(|e| {
+                            e.field("ph", "X").field("pid", 1).field("tid", tid_of(&r.key));
+                            e.field("ts", r.key.seq).field("dur", dur);
+                            e.field("name", format!("seed#{ordinal} {target}->{victim}"));
+                        });
+                    }
+                }
+            }
+
+            // Every record as a slice (probes) or instant, with its Debug
+            // payload.
+            for r in &sorted {
+                let ts = if r.key.seq == u64::MAX { 0 } else { r.key.seq };
+                let probe = match &r.event {
+                    TraceEvent::Probe { .. } => true,
+                    TraceEvent::SeedStart { .. } | TraceEvent::SeedDone { .. } => continue,
+                    _ => false,
+                };
+                events.element(|e| {
+                    e.field("ph", if probe { "X" } else { "i" }).field("pid", 1);
+                    e.field("tid", tid_of(&r.key)).field("ts", ts);
+                    if probe {
+                        e.field("dur", 1);
+                    } else {
+                        e.field("s", "t");
+                    }
+                    e.field("name", r.event.kind()).object("args", |a| {
+                        a.field("detail", format!("{:?}", r.event));
+                    });
+                });
+            }
+        })
+        .field("displayTimeUnit", "ms")
+        .object("otherData", |d| {
+            d.field("generator", "swarmfuzz");
+        });
+    })
 }
 
 #[cfg(test)]

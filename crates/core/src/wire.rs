@@ -1,13 +1,12 @@
 //! Line-delimited wire protocol for [`crate::server::CampaignServer`].
 //!
-//! Every message is one JSON line built with the store codec helpers
-//! (fixed field order, shortest-round-trip floats), so equal messages are
-//! equal bytes — the same byte-stability discipline the journal codec
-//! follows. Result rows are streamed as raw [`crate::store::encode_row`]
-//! lines; a client that feeds them through
-//! [`crate::campaign::report_from_rows`] reconstructs a report
-//! bit-identical to the server's own (and to a direct `run_campaign` of
-//! the same spec).
+//! Every message is one JSON line written by the crate's JSON codec
+//! (`crate::json`: fixed field order, shortest-round-trip floats), so equal
+//! messages are equal bytes — the same codec the journal uses. Result rows
+//! are streamed as raw [`crate::store::encode_row`] lines; a client that
+//! feeds them through [`crate::campaign::report_from_rows`] reconstructs a
+//! report bit-identical to the server's own (and to a direct
+//! `run_campaign` of the same spec).
 //!
 //! Requests (client → server), one per line:
 //!
@@ -27,12 +26,18 @@
 //! to TCP with one thread per connection, and tests drive
 //! [`serve_connection`] over in-memory buffers.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use crate::campaign::{report_from_rows, CampaignReport};
+use crate::json::{self, Json};
 use crate::server::{CampaignServer, CampaignSpec, JobPhase, JobStatus, ServerError};
-use crate::store::{decode_row, encode_row, parse_json, push_json_string, JournalRow, Json};
+use crate::store::{decode_row, encode_row, JournalRow};
+
+/// Longest request line [`serve_connection`] reads, newline excluded. A
+/// longer line is discarded up to its newline and answered with a `wire`
+/// error; the connection stays usable.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -72,21 +77,21 @@ pub enum ClientMsg {
 impl ClientMsg {
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        match self {
+        json::object(|o| match self {
             ClientMsg::Submit { tenant, weight, spec } => {
-                let mut out = String::from("{\"msg\":\"submit\",\"tenant\":");
-                push_json_string(&mut out, tenant);
-                out.push_str(&format!(",\"weight\":{weight},\"spec\":"));
-                out.push_str(&spec.encode());
-                out.push('}');
-                out
+                o.field("msg", "submit").field("tenant", tenant).field("weight", weight);
+                o.object("spec", |o| spec.write_json(o));
             }
-            ClientMsg::Status { job } => format!("{{\"msg\":\"status\",\"job\":{job}}}"),
+            ClientMsg::Status { job } => {
+                o.field("msg", "status").field("job", job);
+            }
             ClientMsg::Results { job, wait } => {
-                format!("{{\"msg\":\"results\",\"job\":{job},\"wait\":{wait}}}")
+                o.field("msg", "results").field("job", job).field("wait", wait);
             }
-            ClientMsg::Watch => "{\"msg\":\"watch\"}".to_string(),
-        }
+            ClientMsg::Watch => {
+                o.field("msg", "watch");
+            }
+        })
     }
 
     /// Decodes one request line.
@@ -95,24 +100,16 @@ impl ClientMsg {
     ///
     /// A message naming the first malformed field.
     pub fn decode(line: &str) -> Result<ClientMsg, String> {
-        let j = parse_json(line)?;
-        let msg = j.get("msg").and_then(Json::str).ok_or("missing msg field")?;
-        match msg {
-            "submit" => {
-                let tenant = j.get("tenant").and_then(Json::str).ok_or("submit missing tenant")?;
-                let weight = j.get("weight").and_then(Json::u64).unwrap_or(1);
-                let spec_json = j.get("spec").ok_or("submit missing spec")?;
-                let spec = CampaignSpec::from_json(spec_json)?;
-                Ok(ClientMsg::Submit { tenant: tenant.to_string(), weight, spec })
-            }
-            "status" => {
-                let job = j.get("job").and_then(Json::u64).ok_or("status missing job")?;
-                Ok(ClientMsg::Status { job })
-            }
+        let j = json::parse(line)?;
+        match j.req("msg")? {
+            "submit" => Ok(ClientMsg::Submit {
+                tenant: j.req("tenant")?,
+                weight: j.opt("weight")?.unwrap_or(1),
+                spec: CampaignSpec::from_json(j.req("spec")?)?,
+            }),
+            "status" => Ok(ClientMsg::Status { job: j.req("job")? }),
             "results" => {
-                let job = j.get("job").and_then(Json::u64).ok_or("results missing job")?;
-                let wait = j.get("wait").and_then(Json::boolean).unwrap_or(false);
-                Ok(ClientMsg::Results { job, wait })
+                Ok(ClientMsg::Results { job: j.req("job")?, wait: j.opt("wait")?.unwrap_or(false) })
             }
             "watch" => Ok(ClientMsg::Watch),
             other => Err(format!("unknown message {other:?}")),
@@ -125,57 +122,38 @@ impl ClientMsg {
 // ---------------------------------------------------------------------------
 
 fn encode_error(e: &ServerError) -> String {
-    let mut out = String::from("{\"msg\":\"error\",\"code\":");
-    push_json_string(&mut out, e.code());
-    out.push_str(",\"error\":");
-    push_json_string(&mut out, &e.to_string());
-    out.push('}');
-    out
+    json::object(|o| {
+        o.field("msg", "error").field("code", e.code()).field("error", e.to_string());
+    })
 }
 
 fn encode_accepted(job: u64, status: &JobStatus) -> String {
-    let mut out = format!(
-        "{{\"msg\":\"accepted\",\"job\":{job},\"total\":{},\"done\":{},\"fingerprint\":",
-        status.total, status.done
-    );
-    push_json_string(&mut out, &status.fingerprint);
-    out.push('}');
-    out
+    json::object(|o| {
+        o.field("msg", "accepted").field("job", job).field("total", status.total);
+        o.field("done", status.done).field("fingerprint", &status.fingerprint);
+    })
 }
 
-fn encode_status(status: &JobStatus) -> String {
-    let mut out = format!("{{\"msg\":\"status\",\"job\":{},\"tenant\":", status.job);
-    push_json_string(&mut out, &status.tenant);
-    out.push_str(",\"phase\":");
-    push_json_string(&mut out, status.phase.name());
-    out.push_str(&format!(",\"done\":{},\"total\":{},\"fingerprint\":", status.done, status.total));
-    push_json_string(&mut out, &status.fingerprint);
-    if let Some(ordinal) = status.completed_ordinal {
-        out.push_str(&format!(",\"ordinal\":{ordinal}"));
-    }
-    if let Some(error) = &status.error {
-        out.push_str(",\"error\":");
-        push_json_string(&mut out, error);
-    }
-    out.push('}');
-    out
+fn encode_status(s: &JobStatus) -> String {
+    json::object(|o| {
+        o.field("msg", "status").field("job", s.job).field("tenant", &s.tenant);
+        o.field("phase", s.phase.name()).field("done", s.done).field("total", s.total);
+        o.field("fingerprint", &s.fingerprint).opt("ordinal", s.completed_ordinal);
+        o.opt("error", s.error.as_ref());
+    })
 }
 
 fn decode_status(j: &Json) -> Result<JobStatus, String> {
-    let phase_name = j.get("phase").and_then(Json::str).ok_or("status missing phase")?;
+    let phase: &str = j.req("phase")?;
     Ok(JobStatus {
-        job: j.get("job").and_then(Json::u64).ok_or("status missing job")?,
-        tenant: j.get("tenant").and_then(Json::str).ok_or("status missing tenant")?.to_string(),
-        phase: JobPhase::parse(phase_name).ok_or_else(|| format!("bad phase {phase_name:?}"))?,
-        done: j.get("done").and_then(Json::usize).ok_or("status missing done")?,
-        total: j.get("total").and_then(Json::usize).ok_or("status missing total")?,
-        fingerprint: j
-            .get("fingerprint")
-            .and_then(Json::str)
-            .ok_or("status missing fingerprint")?
-            .to_string(),
-        completed_ordinal: j.get("ordinal").and_then(Json::u64),
-        error: j.get("error").and_then(Json::str).map(str::to_string),
+        job: j.req("job")?,
+        tenant: j.req("tenant")?,
+        phase: JobPhase::parse(phase).ok_or_else(|| format!("bad phase {phase:?}"))?,
+        done: j.req("done")?,
+        total: j.req("total")?,
+        fingerprint: j.req("fingerprint")?,
+        completed_ordinal: j.opt("ordinal")?,
+        error: j.opt("error")?,
     })
 }
 
@@ -193,11 +171,30 @@ fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
     writer.flush()
 }
 
+/// Reads one request line (newline excluded) through the
+/// [`MAX_LINE_BYTES`] bound; `None` at end of input. A line that is too
+/// long (consumed up to its newline, never buffered whole) or not UTF-8
+/// reads as the wire error to reply with.
+fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Result<String, String>>> {
+    let mut line = Vec::new();
+    if (&mut *reader).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"))));
+    }
+    Ok(Some(String::from_utf8(line).map_err(|_| "request line is not UTF-8".to_string())))
+}
+
 /// Serves one connection: reads request lines from `reader`, writes reply
-/// lines to `writer`, returns at EOF. Malformed requests produce a typed
-/// `error` line (code `wire`) and the connection stays open; a `watch`
-/// request turns the connection into a one-way event stream until the
-/// client disconnects or the server shuts down.
+/// lines to `writer`, returns at EOF. Malformed requests, lines that are
+/// not UTF-8 and lines longer than 1 MiB produce a typed `error` line
+/// (code `wire`) and the connection stays open; a `watch` request turns
+/// the connection into a one-way event stream until the client
+/// disconnects or the server shuts down.
 ///
 /// # Errors
 ///
@@ -205,15 +202,16 @@ fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
 /// returned.
 pub fn serve_connection(
     server: &CampaignServer,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let msg = match ClientMsg::decode(&line) {
+    while let Some(request) = read_request(&mut reader)? {
+        let decoded = match request {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => ClientMsg::decode(&line),
+            Err(e) => Err(e),
+        };
+        let msg = match decoded {
             Ok(msg) => msg,
             Err(e) => {
                 write_line(&mut writer, &encode_error(&ServerError::Wire(e)))?;
@@ -251,26 +249,29 @@ pub fn serve_connection(
                 };
                 match rows {
                     Ok(rows) => {
-                        write_line(
-                            &mut writer,
-                            &format!(
-                                "{{\"msg\":\"results\",\"job\":{job},\"rows\":{}}}",
-                                rows.len()
-                            ),
-                        )?;
+                        let header = json::object(|o| {
+                            o.field("msg", "results").field("job", job).field("rows", rows.len());
+                        });
+                        write_line(&mut writer, &header)?;
                         for row in &rows {
                             // encode_row is already newline-terminated.
                             writer.write_all(encode_row(row).as_bytes())?;
                         }
                         writer.flush()?;
-                        write_line(&mut writer, &format!("{{\"msg\":\"end\",\"job\":{job}}}"))?;
+                        let end = json::object(|o| {
+                            o.field("msg", "end").field("job", job);
+                        });
+                        write_line(&mut writer, &end)?;
                     }
                     Err(e) => write_line(&mut writer, &encode_error(&e))?,
                 }
             }
             ClientMsg::Watch => {
                 let events = server.subscribe();
-                write_line(&mut writer, "{\"msg\":\"watching\"}")?;
+                let watching = json::object(|o| {
+                    o.field("msg", "watching");
+                });
+                write_line(&mut writer, &watching)?;
                 // Stream until the subscriber is dropped (server shutdown)
                 // or the client hangs up (write error ends the connection).
                 for event in events.iter() {
@@ -387,19 +388,33 @@ impl<R: BufRead, W: Write> Client<R, W> {
         Ok(())
     }
 
-    fn read_reply(&mut self) -> Result<Json, WireError> {
+    fn read_line(&mut self) -> Result<String, WireError> {
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(WireError::Protocol("connection closed".into()));
         }
-        let j = parse_json(line.trim_end()).map_err(WireError::Protocol)?;
-        if j.get("msg").and_then(Json::str) == Some("error") {
-            return Err(WireError::Server {
-                code: j.get("code").and_then(Json::str).unwrap_or("unknown").to_string(),
-                message: j.get("error").and_then(Json::str).unwrap_or_default().to_string(),
-            });
-        }
-        Ok(j)
+        Ok(line)
+    }
+
+    /// Reads one reply, which must be an `expect` message, and decodes it;
+    /// a typed `error` line becomes [`WireError::Server`].
+    fn read_reply<T>(
+        &mut self,
+        expect: &str,
+        decode: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, WireError> {
+        let line = self.read_line()?;
+        let reply = || {
+            let j = json::parse(line.trim_end())?;
+            match j.req("msg")? {
+                "error" => {
+                    Ok(Err(WireError::Server { code: j.req("code")?, message: j.req("error")? }))
+                }
+                msg if msg == expect => decode(&j).map(Ok),
+                msg => Err(format!("expected {expect} reply, got {msg:?}")),
+            }
+        };
+        reply().map_err(WireError::Protocol)?
     }
 
     /// Submits a campaign; unknown tenants are registered with `weight`.
@@ -415,19 +430,13 @@ impl<R: BufRead, W: Write> Client<R, W> {
         spec: &CampaignSpec,
     ) -> Result<Accepted, WireError> {
         self.send(&ClientMsg::Submit { tenant: tenant.to_string(), weight, spec: spec.clone() })?;
-        let j = self.read_reply()?;
-        if j.get("msg").and_then(Json::str) != Some("accepted") {
-            return Err(WireError::Protocol("expected accepted reply".into()));
-        }
-        Ok(Accepted {
-            job: j.get("job").and_then(Json::u64).ok_or_protocol("accepted missing job")?,
-            fingerprint: j
-                .get("fingerprint")
-                .and_then(Json::str)
-                .ok_or_protocol("accepted missing fingerprint")?
-                .to_string(),
-            total: j.get("total").and_then(Json::usize).ok_or_protocol("accepted missing total")?,
-            done: j.get("done").and_then(Json::usize).ok_or_protocol("accepted missing done")?,
+        self.read_reply("accepted", |j| {
+            Ok(Accepted {
+                job: j.req("job")?,
+                fingerprint: j.req("fingerprint")?,
+                total: j.req("total")?,
+                done: j.req("done")?,
+            })
         })
     }
 
@@ -438,8 +447,7 @@ impl<R: BufRead, W: Write> Client<R, W> {
     /// [`WireError::Server`] (e.g. `unknown-job`) or transport failures.
     pub fn status(&mut self, job: u64) -> Result<JobStatus, WireError> {
         self.send(&ClientMsg::Status { job })?;
-        let j = self.read_reply()?;
-        decode_status(&j).map_err(WireError::Protocol)
+        self.read_reply("status", decode_status)
     }
 
     /// Streams a finished job's rows and returns them in server order.
@@ -450,26 +458,13 @@ impl<R: BufRead, W: Write> Client<R, W> {
     /// `job-failed`, `unknown-job`) or transport failures.
     pub fn results_rows(&mut self, job: u64, wait: bool) -> Result<Vec<JournalRow>, WireError> {
         self.send(&ClientMsg::Results { job, wait })?;
-        let header = self.read_reply()?;
-        if header.get("msg").and_then(Json::str) != Some("results") {
-            return Err(WireError::Protocol("expected results header".into()));
-        }
-        let count =
-            header.get("rows").and_then(Json::usize).ok_or_protocol("results missing rows")?;
-        let mut rows = Vec::with_capacity(count);
+        let count: usize = self.read_reply("results", |j| j.req("rows"))?;
+        let mut rows = Vec::new();
         for _ in 0..count {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(WireError::Protocol("row stream truncated".into()));
-            }
+            let line = self.read_line()?;
             rows.push(decode_row(line.trim_end()).map_err(WireError::Protocol)?);
         }
-        let mut line = String::new();
-        self.reader.read_line(&mut line)?;
-        let end = parse_json(line.trim_end()).map_err(WireError::Protocol)?;
-        if end.get("msg").and_then(Json::str) != Some("end") {
-            return Err(WireError::Protocol("missing end marker".into()));
-        }
+        self.read_reply("end", |_| Ok(()))?;
         Ok(rows)
     }
 
@@ -483,16 +478,6 @@ impl<R: BufRead, W: Write> Client<R, W> {
     /// As [`Client::results_rows`].
     pub fn results(&mut self, job: u64, wait: bool) -> Result<CampaignReport, WireError> {
         Ok(report_from_rows(self.results_rows(job, wait)?))
-    }
-}
-
-trait OrProtocol<T> {
-    fn ok_or_protocol(self, msg: &str) -> Result<T, WireError>;
-}
-
-impl<T> OrProtocol<T> for Option<T> {
-    fn ok_or_protocol(self, msg: &str) -> Result<T, WireError> {
-        self.ok_or_else(|| WireError::Protocol(msg.to_string()))
     }
 }
 
@@ -539,19 +524,90 @@ mod tests {
         assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
     }
 
-    #[test]
-    fn each_reply_line_is_one_write() {
+    fn test_server() -> CampaignServer {
         use crate::server::{in_process_factory, ExecutorOptions, ServerConfig};
         use crate::Telemetry;
         use swarm_control::{VasarhelyiController, VasarhelyiParams};
 
         let telemetry = Telemetry::off();
         let controller = VasarhelyiController::new(VasarhelyiParams::default());
-        let server = CampaignServer::start(
+        CampaignServer::start(
             ServerConfig { workers: 1, queue_depth: 1, journal_dir: None },
             in_process_factory(controller, ExecutorOptions::default(), telemetry.clone()),
             telemetry,
+        )
+    }
+
+    /// Serves `requests` on a spawned thread (the default 2 MiB stack, as
+    /// [`serve`] gives each connection) and returns the reply codes in
+    /// order, `msg` for non-error replies.
+    fn reply_codes(requests: Vec<u8>) -> Vec<String> {
+        let server = test_server();
+        let connection = server.clone();
+        let out = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            // A small buffer makes long lines arrive in many chunks.
+            let reader = BufReader::with_capacity(64, requests.as_slice());
+            serve_connection(&connection, reader, &mut out).expect("in-memory transport");
+            out
+        })
+        .join()
+        .expect("connection thread must not die");
+        server.shutdown();
+        String::from_utf8(out)
+            .expect("replies are UTF-8")
+            .lines()
+            .map(|line| {
+                let j = json::parse(line).expect("reply parses");
+                j.req::<String>("code").or_else(|_| j.req("msg")).expect("reply kind")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hundred_thousand_brackets_are_an_error_not_a_stack_overflow() {
+        let line = "[".repeat(100_000);
+        let decoded = std::thread::spawn(move || ClientMsg::decode(&line).map(|_| ()))
+            .join()
+            .expect("decoding must not overflow the stack");
+        assert!(decoded.unwrap_err().contains("nesting deeper than"));
+    }
+
+    #[test]
+    fn deep_nesting_gets_a_wire_error_and_the_connection_survives() {
+        let mut requests = "[".repeat(100_000).into_bytes();
+        requests.extend_from_slice(b"\n{\"msg\":\"status\",\"job\":99}\n");
+        assert_eq!(reply_codes(requests), ["wire", "unknown-job"]);
+    }
+
+    #[test]
+    fn over_long_lines_get_one_wire_error_and_the_connection_survives() {
+        let mut requests = vec![b'x'; MAX_LINE_BYTES + 1];
+        requests.extend_from_slice(b"\n{\"msg\":\"status\",\"job\":99}\n");
+        requests.extend_from_slice(&[b' '; MAX_LINE_BYTES]);
+        requests.extend_from_slice(b"\n\xff\xfe\n");
+        requests.extend_from_slice(&vec![b'y'; MAX_LINE_BYTES + 7]);
+        assert_eq!(
+            reply_codes(requests),
+            ["wire", "unknown-job", "wire", "wire"],
+            "a blank line at the cap is skipped; bad UTF-8 and an unterminated \
+             over-long tail are errors"
         );
+    }
+
+    #[test]
+    fn megabyte_string_fields_decode_in_linear_time() {
+        let tenant = "tenant \"λ\" ".repeat((1 << 20) / 12);
+        let msg = ClientMsg::Submit { tenant: tenant.clone(), weight: 1, spec: spec() };
+        let started = std::time::Instant::now();
+        let decoded = ClientMsg::decode(&msg.encode()).expect("decodes");
+        assert!(started.elapsed() < std::time::Duration::from_secs(2), "{:?}", started.elapsed());
+        assert_eq!(decoded, msg);
+    }
+
+    #[test]
+    fn each_reply_line_is_one_write() {
+        let server = test_server();
         let requests = "not json\n{\"msg\":\"status\",\"job\":99}\n";
         let mut out = CountingWriter::default();
         serve_connection(&server, requests.as_bytes(), &mut out).expect("in-memory transport");
@@ -603,9 +659,9 @@ mod tests {
     fn error_lines_carry_typed_codes() {
         let e = ServerError::QueueFull { tenant: "t".into(), queued: 4, depth: 4 };
         let line = encode_error(&e);
-        let j = parse_json(&line).expect("valid json");
-        assert_eq!(j.get("code").and_then(Json::str), Some("queue-full"));
-        assert!(j.get("error").and_then(Json::str).expect("message").contains("4/4"));
+        let j = json::parse(&line).expect("valid json");
+        assert_eq!(j.req("code"), Ok("queue-full"));
+        assert!(j.req::<&str>("error").expect("message").contains("4/4"));
     }
 
     #[test]
@@ -620,7 +676,7 @@ mod tests {
             completed_ordinal: Some(3),
             error: None,
         };
-        let decoded = decode_status(&parse_json(&encode_status(&status)).expect("valid json"))
+        let decoded = decode_status(&json::parse(&encode_status(&status)).expect("valid json"))
             .expect("decodes");
         assert_eq!(decoded, status);
     }

@@ -1,6 +1,6 @@
 //! Generators for the workspace's domain types: vectors, digraphs, mission
-//! scenarios, spoofing windows, fuzzer configurations, and campaign journal
-//! rows. Property suites compose these instead of hand-rolling sampling
+//! scenarios, spoofing windows, fuzzer configurations, campaign journal
+//! rows, campaign specs, wire requests and trace records. Property suites compose these instead of hand-rolling sampling
 //! loops per file.
 
 use std::ops::RangeInclusive;
@@ -12,10 +12,15 @@ use swarm_sim::spoof::{
     AttackSpec, SpoofDirection, SpoofingAttack, Waveform, WaveformKind, WaveformSet,
 };
 use swarm_sim::DroneId;
-use swarmfuzz::campaign::{MissionFailure, MissionResult, SwarmConfig};
+use swarmfuzz::campaign::{CampaignConfig, MissionFailure, MissionResult, SwarmConfig};
 use swarmfuzz::seed::Seed;
 use swarmfuzz::store::JournalRow;
-use swarmfuzz::{CentralityKind, FuzzerConfig, SearchStrategy, SeedStrategy, SpvFinding};
+use swarmfuzz::trace::{TraceEvent, TraceKey, TraceRecord};
+use swarmfuzz::wire::ClientMsg;
+use swarmfuzz::{
+    CampaignSpec, CentralityKind, FuzzerConfig, FuzzerVariant, SearchStrategy, SeedStrategy,
+    SpvFinding,
+};
 
 use crate::gen::{bool_any, f64_in, one_of, u64_any, usize_in, zip2, zip3, zip4, Gen};
 
@@ -291,6 +296,120 @@ pub fn journal_row() -> Gen<JournalRow> {
             JournalRow::Failed(MissionFailure { config, index, error, retries })
         });
     bool_any().flat_map(move |is_done| if is_done { done.clone() } else { failed.clone() })
+}
+
+/// A campaign spec over 0–4 grid configurations (hostile deviations
+/// included), any fuzzer variant and attack-class set, with or without an
+/// evaluation budget override.
+pub fn campaign_spec() -> Gen<CampaignSpec> {
+    let variant = one_of(vec![
+        FuzzerVariant::SwarmFuzz,
+        FuzzerVariant::RFuzz,
+        FuzzerVariant::GFuzz,
+        FuzzerVariant::SFuzz,
+    ]);
+    zip4(
+        &crate::gen::vec_of(&swarm_config(), 0..=4),
+        &zip3(&usize_in(0..=1000), &u64_any(), &usize_in(0..=64)),
+        &zip2(&variant, &waveform_set()),
+        &zip2(&bool_any(), &usize_in(0..=10_000)),
+    )
+    .map(|(configs, (missions_per_config, base_seed, workers), (variant, attacks), budget)| {
+        CampaignSpec {
+            campaign: CampaignConfig { configs, missions_per_config, base_seed, workers },
+            variant,
+            attacks,
+            eval_budget: budget.0.then_some(budget.1),
+        }
+    })
+}
+
+/// A wire request of any kind; submits carry hostile tenant ids and a
+/// generated spec. Shrinks toward `Watch`.
+pub fn client_msg() -> Gen<ClientMsg> {
+    zip4(&usize_in(0..=3), &codec_string(), &zip2(&u64_any(), &bool_any()), &campaign_spec()).map(
+        |(kind, tenant, (n, wait), spec)| match kind {
+            0 => ClientMsg::Watch,
+            1 => ClientMsg::Status { job: n },
+            2 => ClientMsg::Results { job: n, wait },
+            _ => ClientMsg::Submit { tenant, weight: n, spec },
+        },
+    )
+}
+
+/// A trace record of any event kind at an arbitrary key, with hostile
+/// floats, strings and integers in every payload field.
+pub fn trace_record() -> Gen<TraceRecord> {
+    let big = u64_any().map(|v| v as usize);
+    let key = zip4(&u64_any(), &u64_any(), &u64_any(), &u64_any()).map(
+        |(swarm_size, deviation_bits, index, seq)| TraceKey {
+            swarm_size,
+            deviation_bits,
+            index,
+            seq,
+        },
+    );
+    let ints = zip4(&big, &big, &big, &u64_any());
+    let floats =
+        zip4(&interesting_f64(), &interesting_f64(), &interesting_f64(), &interesting_f64());
+    let misc = zip4(&codec_string(), &bool_any(), &usize_in(0..=255), &usize_in(0..=8));
+    zip4(&key, &usize_in(0..=15), &zip2(&ints, &floats), &misc).map(
+        |(key, kind, ((a, b, c, seed), (x, y, z, w)), (text, flag, theta, options))| {
+            let theta = theta as u8 as i8;
+            let shape = (options % 3 > 0).then_some(w);
+            let fork = [None, Some(false), Some(true)][options / 3];
+            let event = match kind {
+                0 => TraceEvent::CampaignStart { configs: a, missions_per_config: b },
+                1 => TraceEvent::CampaignEnd { missions: a, failures: b },
+                2 => TraceEvent::ResumeSkip,
+                3 => TraceEvent::JournalAppend { row: text },
+                4 => TraceEvent::MissionStart { mission_seed: seed },
+                5 => TraceEvent::BaselineRejected { mission_seed: seed, time: x },
+                6 => TraceEvent::BaselineDone {
+                    vdo: x,
+                    vdo_drone: a,
+                    duration: y,
+                    snapshots: b,
+                    stride: c,
+                },
+                7 => TraceEvent::SeedRanked {
+                    rank: a,
+                    target: b,
+                    victim: c,
+                    theta,
+                    influence: x,
+                    victim_vdo: y,
+                },
+                8 => TraceEvent::SeedStart {
+                    ordinal: a,
+                    target: b,
+                    victim: c,
+                    theta,
+                    waveform: text,
+                    budget: a,
+                },
+                9 => TraceEvent::Probe { ts: x, dt: y, shape, value: z, success: flag, fork },
+                10 => TraceEvent::GradientStep { g_ts: x, g_dt: y, ts: z, dt: w },
+                11 => TraceEvent::SeedDone {
+                    evaluations: a,
+                    converged: flag,
+                    best_value: x,
+                    success: !flag,
+                },
+                12 => TraceEvent::MissionDone { success: flag, evaluations: a, seeds_tried: b },
+                13 => TraceEvent::MissionRetry { attempt: a, error: text },
+                14 => TraceEvent::MissionFailed { error: text, retries: a },
+                _ => TraceEvent::MinimizePass {
+                    pass: text,
+                    evaluations: a,
+                    start: x,
+                    duration: y,
+                    deviation: z,
+                },
+            };
+            TraceRecord { key, event }
+        },
+    )
 }
 
 /// One tenant of a generated scheduler workload.

@@ -10,7 +10,8 @@
 //! * a spoofing attack with zero deviation produces a mission outcome
 //!   bit-identical to running with no attack at all;
 //! * the campaign journal codec round-trips arbitrary rows (hostile floats
-//!   and strings included) to identity.
+//!   and strings included) to identity, and re-encodes them to the same
+//!   bytes.
 
 use swarm_control::{VasarhelyiController, VasarhelyiParams};
 use swarm_graph::centrality::{eigenvector, pagerank, weighted_degree, Direction, PageRankConfig};
@@ -208,6 +209,10 @@ fn journal_rows_round_trip_to_identity() {
             decode_row(line.trim_end()).map_err(|e| format!("decode failed on {line:?}: {e}"))?;
         if &decoded != row {
             return Err(format!("round trip drifted:\n  in:  {row:?}\n  out: {decoded:?}"));
+        }
+        let again = encode_row(&decoded);
+        if again != line {
+            return Err(format!("re-encoding changed the bytes:\n  {line:?}\n  {again:?}"));
         }
         Ok(())
     });
